@@ -4,9 +4,10 @@ One or more GRU layers over 1-of-N (or discounted weighted-sum) session
 input, with a tanh-activated linear output layer scoring items. Forward
 stepping works on session-parallel mini-batches; the backward pass produces
 gradients with the hidden state carried in from the previous step treated
-as constant (truncated backpropagation, horizon one), output-weight
-gradients restricted to the sampled score columns, and input-weight
-gradients restricted to the rows of items present in the batch.
+as constant (truncated backpropagation, horizon one). Gradients of the
+item-indexed matrices are row-compact: the output weights get rows only for
+the sampled score columns and the input weights only for the items in the
+batch, so a step's cost does not grow with the catalog.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MiniBatch
-from .linalg import make_rng, sigmoid, tanh_map, uniform_init
+from .linalg import make_rng, sigmoid, uniform_init
 from .optim import dropout_mask
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "NetworkParams",
     "HiddenState",
     "ForwardCache",
+    "Gradients",
     "init_network",
     "gru_cell",
     "forward_step",
@@ -211,6 +213,38 @@ class ForwardCache:
     scores: np.ndarray | None = None
 
 
+class Gradients(dict):
+    """Parameter name -> gradient, as returned by :func:`backward_step`.
+
+    ``rows[name]``, where present, lists in ascending order the parameter
+    rows that the gradient's rows belong to; every other parameter row has
+    a zero gradient. A name without an entry has a gradient of the
+    parameter's full shape.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.rows: dict[str, np.ndarray] = {}
+
+    def set(self, name: str, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
+        self[name] = grad
+        if rows is not None:
+            self.rows[name] = rows
+
+
+def _scatter_rows(n_rows: int, inverse: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.add.at`` of ``values`` into ``n_rows`` zero rows, in index order."""
+    block = np.zeros((n_rows,) + values.shape[1:])
+    np.add.at(block, inverse, values)
+    return block
+
+
+def _check_in_vocab(idx: np.ndarray, n_items: int, what: str) -> None:
+    bad = idx[(idx < 0) | (idx >= n_items)]
+    if bad.size:
+        raise IndexError(f"{what} out of vocabulary: {bad[0]}")
+
+
 def _input_feed(
     lp: GruLayerParams,
     layer_idx: int,
@@ -262,14 +296,12 @@ def forward_step(
     """
     hyper = params.hyper
     items = np.asarray(batch.inputs, dtype=np.intp)
-    if items.size and items.max() >= params.n_items:
-        raise IndexError(f"input item index out of vocabulary: {items.max()}")
+    _check_in_vocab(items, params.n_items, "input item index")
     if sampled_columns is None:
         cols = np.arange(params.n_items, dtype=np.intp)
     else:
         cols = np.asarray(sampled_columns, dtype=np.intp)
-        if cols.size and cols.max() >= params.n_items:
-            raise IndexError(f"sampled column out of vocabulary: {cols.max()}")
+        _check_in_vocab(cols, params.n_items, "sampled column")
     if hyper.input_mode == "discounted_sum":
         if input_vectors is None:
             raise ValueError("discounted_sum input mode requires input_vectors")
@@ -314,35 +346,54 @@ def backward_step(
     cache: ForwardCache,
     dscores: np.ndarray,
     on_preactivation: bool = False,
-) -> dict[str, np.ndarray]:
+) -> Gradients:
     """Gradients of a scalar loss with respect to every parameter.
 
     ``dscores`` is the loss gradient on the step's scores: on the tanh
     outputs by default, or on the pre-activation scores when
     ``on_preactivation`` is set (cross-entropy). The hidden state carried in
-    from the previous step is treated as constant. Output-weight gradient
-    rows outside the sampled columns, and input-weight gradient rows for
-    items absent from the batch, are exactly zero.
+    from the previous step is treated as constant.
+
+    Item-indexed gradients are row-compact (see :class:`Gradients`):
+    ``W_out`` and ``b_out`` hold one row per distinct sampled column; the
+    first layer's ``W_z``/``W_r``/``W`` hold one row per distinct input item
+    (one-hot) or per item with a non-zero input weight (discounted sum);
+    deeper layers with deep input hold their ``hidden`` recurrent-input rows
+    followed by the item rows. Duplicate columns or items sum in batch order,
+    so every row equals that of the dense gradient bit for bit, and all rows
+    left out are exactly zero in it. The other gradients are dense.
     """
     if cache.scores is None:
         raise ValueError("forward cache is incomplete; run forward_step first")
     hyper = params.hyper
     cols = cache.sampled_columns
-    items = cache.items
     if on_preactivation:
         d_lin = np.asarray(dscores, dtype=np.float64)
     else:
         d_lin = np.asarray(dscores, dtype=np.float64) * (1.0 - cache.scores**2)
 
-    grads: dict[str, np.ndarray] = {}
+    grads = Gradients()
     last = cache.layer[-1].h_dropped
-    g_wout = np.zeros_like(params.W_out)
-    np.add.at(g_wout, cols, d_lin.T @ last)
-    grads["W_out"] = g_wout
+    out_rows, out_inv = np.unique(cols, return_inverse=True)
+    grads.set("W_out", _scatter_rows(len(out_rows), out_inv, d_lin.T @ last), out_rows)
     if params.b_out is not None:
-        g_bout = np.zeros_like(params.b_out)
-        np.add.at(g_bout, cols, d_lin.sum(axis=0))
-        grads["b_out"] = g_bout
+        grads.set("b_out", _scatter_rows(len(out_rows), out_inv, d_lin.sum(axis=0)), out_rows)
+
+    iv = cache.input_vectors
+    if iv is not None:
+        # The full GEMM, then sliced: a GEMM over fewer columns may round
+        # differently, and retrains must stay byte-identical.
+        item_rows = np.flatnonzero(iv.any(axis=0))
+
+        def item_grad(da):
+            return (iv.T @ da)[item_rows]
+    else:
+        item_rows, item_inv = np.unique(cache.items, return_inverse=True)
+
+        def item_grad(da):
+            return _scatter_rows(len(item_rows), item_inv, da)
+    # deep-input layers: the lower layer's hidden rows, then the item rows
+    deep_rows = np.concatenate([np.arange(hyper.hidden_size), hyper.hidden_size + item_rows])
 
     d_hd = d_lin @ params.W_out[cols]  # grad on the dropped output of the top layer
     for li in range(len(params.layers) - 1, -1, -1):
@@ -357,30 +408,24 @@ def backward_step(
         da_r = dr * lc.r * (1.0 - lc.r)
 
         pre = f"layers.{li}."
-        grads[pre + "U"] = (lc.r * lc.h_prev).T @ da_c
-        grads[pre + "U_z"] = lc.h_prev.T @ da_z
-        grads[pre + "U_r"] = lc.h_prev.T @ da_r
+        grads.set(pre + "U", (lc.r * lc.h_prev).T @ da_c)
+        grads.set(pre + "U_z", lc.h_prev.T @ da_z)
+        grads.set(pre + "U_r", lc.h_prev.T @ da_r)
         if lp.b_z is not None:
-            grads[pre + "b_z"] = da_z.sum(axis=0)
-            grads[pre + "b_r"] = da_r.sum(axis=0)
-            grads[pre + "b"] = da_c.sum(axis=0)
+            grads.set(pre + "b_z", da_z.sum(axis=0))
+            grads.set(pre + "b_r", da_r.sum(axis=0))
+            grads.set(pre + "b", da_c.sum(axis=0))
 
         hdim = lp.hidden_size
         for nm, da in (("W_z", da_z), ("W_r", da_r), ("W", da_c)):
-            g = np.zeros_like(getattr(lp, nm))
             if li == 0:
-                if cache.input_vectors is not None:
-                    g += cache.input_vectors.T @ da
-                else:
-                    np.add.at(g, items, da)
+                grads.set(pre + nm, item_grad(da), item_rows)
             else:
-                g[:hdim] = cache.layer[li - 1].h_dropped.T @ da
+                g = cache.layer[li - 1].h_dropped.T @ da
                 if hyper.deep_input:
-                    if cache.input_vectors is not None:
-                        g[hdim:] += cache.input_vectors.T @ da
-                    else:
-                        np.add.at(g, hdim + items, da)
-            grads[pre + nm] = g
+                    grads.set(pre + nm, np.concatenate([g, item_grad(da)]), deep_rows)
+                else:
+                    grads.set(pre + nm, g)
 
         if li > 0:
             d_hd = (

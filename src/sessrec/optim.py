@@ -2,7 +2,7 @@
 
 Updates honor gradient sparsity at row granularity: rows whose gradient is
 entirely zero are left untouched, accumulators and velocity included, so a
-sparse row update is bit-identical to the equivalent dense one.
+row-compact update (``rows=``) is bit-identical to the equivalent dense one.
 """
 
 from __future__ import annotations
@@ -28,24 +28,23 @@ class OptimState:
 
     @classmethod
     def for_param(cls, param: np.ndarray, momentum: float = 0.0) -> "OptimState":
-        vel = np.zeros_like(param) if momentum > 0.0 else None
-        return cls(acc=np.zeros_like(param), vel=vel)
+        # np.zeros, not np.zeros_like: its pages are zeroed lazily, so a
+        # large matrix that is updated a few rows at a time costs little
+        vel = np.zeros(param.shape) if momentum > 0.0 else None
+        return cls(acc=np.zeros(param.shape), vel=vel)
 
 
 def _resolve_rows(grad: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows to touch and their gradient slices.
+    """Rows to touch and their gradient slices; all-zero rows are skipped.
 
-    With ``rows=None`` the gradient is dense and all-zero rows are skipped;
-    otherwise ``grad`` holds just the listed rows.
+    With ``rows=None`` the gradient is dense; otherwise ``grad`` holds just
+    the listed (distinct) rows.
     """
+    nonzero = grad != 0.0 if grad.ndim == 1 else np.any(grad != 0.0, axis=-1)
     if rows is None:
-        if grad.ndim == 1:
-            idx = np.flatnonzero(grad != 0.0)
-        else:
-            idx = np.flatnonzero(np.any(grad != 0.0, axis=-1))
+        idx = np.flatnonzero(nonzero)
         return idx, grad[idx]
-    idx = np.asarray(rows, dtype=np.intp)
-    return idx, np.asarray(grad, dtype=np.float64)
+    return np.asarray(rows, dtype=np.intp)[nonzero], grad[nonzero]
 
 
 def _apply_step(
@@ -57,7 +56,7 @@ def _apply_step(
 ) -> None:
     if momentum > 0.0:
         if state.vel is None:
-            state.vel = np.zeros_like(param)
+            state.vel = np.zeros(param.shape)
         state.vel[idx] = momentum * state.vel[idx] + step
         param[idx] -= state.vel[idx]
     else:

@@ -42,13 +42,13 @@ def train_gru(
     states = {name: OptimState.for_param(p, hyper.momentum) for name, p in params.named_params()}
     param_map = dict(params.named_params())
 
-    def update(name: str, grad: np.ndarray) -> None:
+    def update(name: str, grad: np.ndarray, rows: np.ndarray | None) -> None:
         if hyper.optimizer_kind == "adagrad":
             adagrad_update(param_map[name], grad, states[name], hyper.learning_rate,
-                           momentum=hyper.momentum)
+                           momentum=hyper.momentum, rows=rows)
         else:
             rmsprop_update(param_map[name], grad, states[name], hyper.learning_rate,
-                           decay=hyper.rmsprop_decay, momentum=hyper.momentum)
+                           decay=hyper.rmsprop_decay, momentum=hyper.momentum, rows=rows)
 
     discounted = hyper.input_mode == "discounted_sum"
     for epoch in range(hyper.epochs):
@@ -90,7 +90,7 @@ def train_gru(
                 )
             grads = backward_step(params, cache, dscores, on_preactivation=use_linear)
             for name, g in grads.items():
-                update(name, g)
+                update(name, g, grads.rows.get(name))
             total_loss += value
             n_batches += 1
         mean = total_loss / n_batches if n_batches else float("nan")

@@ -22,6 +22,20 @@ def store_from_lists(session_items, n_items=None):
     return SessionStore(sessions), vocab
 
 
+def dense_grads(params, grads):
+    """backward_step's gradients scattered into full parameter shapes."""
+    shapes = {name: p.shape for name, p in params.named_params()}
+    out = {}
+    for name, g in grads.items():
+        rows = grads.rows.get(name)
+        if rows is None:
+            out[name] = g
+        else:
+            out[name] = np.zeros(shapes[name])
+            out[name][rows] = g
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -26,7 +26,7 @@ from sessrec.losses import LOSSES, bpr_loss, negatives_mask, top1_loss, xent_los
 from sessrec.modelio import gru_from_file, gru_to_file, load_model_file, save_model_file
 from sessrec.training import TrainingDiverged, train_gru
 
-from conftest import store_from_lists
+from conftest import dense_grads, store_from_lists
 
 
 def report(capsys, criterion, ok, detail):
@@ -74,7 +74,9 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
                 return LOSSES[loss_kind](arg, mask), cache
 
             (value, dscores), cache = loss_value()
-            grads = backward_step(params, cache, dscores, on_preactivation=use_linear)
+            grads = dense_grads(
+                params, backward_step(params, cache, dscores, on_preactivation=use_linear)
+            )
             for name, p in params.named_params():
                 it = np.nditer(p, flags=["multi_index"])
                 for _ in it:

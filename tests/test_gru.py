@@ -20,6 +20,8 @@ from sessrec.gru import (
 from sessrec.linalg import make_rng
 from sessrec.losses import LOSSES, negatives_mask
 
+from conftest import dense_grads
+
 
 def zero_layer(in_dim, hidden):
     z = lambda r, c: np.zeros((r, c))
@@ -137,8 +139,12 @@ class TestForwardStep:
     def test_sampled_column_out_of_vocab_rejected(self):
         batch = make_batch([0], [0])
         h = HiddenState.zeros(1, 1, 6)
-        with pytest.raises(IndexError):
-            forward_step(self.params, batch, h, np.array([10]))
+        for cols in ([10], [-1], [3, -10]):
+            with pytest.raises(IndexError):
+                forward_step(self.params, batch, h, np.array(cols))
+        for inputs in ([10], [-1]):
+            with pytest.raises(IndexError):
+                forward_step(self.params, make_batch(inputs, [0]), h, np.array([0]))
 
     def test_score_all_consistent_with_sampled(self, rng):
         batch = make_batch([1, 2], [3, 4])
@@ -169,13 +175,16 @@ class TestBackwardStep:
         scores, _, cache = forward_step(params, batch, h, batch.targets)
         _, d = LOSSES["top1"](scores, negatives_mask(batch.targets))
         grads = backward_step(params, cache, d)
+        dense = dense_grads(params, grads)
         present = {3, 7}
         for nm in ("W_z", "W_r", "W"):
-            g = grads[f"layers.0.{nm}"]
+            np.testing.assert_array_equal(grads.rows[f"layers.0.{nm}"], [3, 7])
+            g = dense[f"layers.0.{nm}"]
             for row in range(12):
                 if row not in present:
                     np.testing.assert_array_equal(g[row], 0.0)
-        g_out = grads["W_out"]
+        np.testing.assert_array_equal(grads.rows["W_out"], [5, 9])
+        g_out = dense["W_out"]
         for row in range(12):
             if row not in {5, 9}:
                 np.testing.assert_array_equal(g_out[row], 0.0)
@@ -210,7 +219,7 @@ class TestBackwardStep:
             return LOSSES[loss_kind](arg, mask), cache
 
         (v, d), cache = loss_value()
-        grads = backward_step(params, cache, d, on_preactivation=use_linear)
+        grads = dense_grads(params, backward_step(params, cache, d, on_preactivation=use_linear))
         eps = 1e-5
         for name, p in params.named_params():
             it = np.nditer(p, flags=["multi_index"])

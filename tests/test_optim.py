@@ -1,8 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
+from sessrec import training
+from sessrec.gru import HyperParams
 from sessrec.linalg import make_rng
 from sessrec.optim import OptimState, adagrad_update, dropout_mask, rmsprop_update
+
+from conftest import store_from_lists
 
 
 class TestAdagrad:
@@ -90,12 +96,61 @@ class TestSparseEquivalence:
         for _ in range(5):
             rows = np.unique(rng.integers(0, 8, 3))
             grad_rows = rng.standard_normal((len(rows), 4))
+            grad_rows[0] = 0.0  # a listed row with a zero gradient stays untouched
             dense = np.zeros((8, 4))
             dense[rows] = grad_rows
             update(p_dense, dense, st_d, 0.05, momentum=momentum)
             update(p_sparse, grad_rows, st_s, 0.05, momentum=momentum, rows=rows)
         np.testing.assert_array_equal(p_dense, p_sparse)
         np.testing.assert_array_equal(st_d.acc, st_s.acc)
+        if momentum:
+            np.testing.assert_array_equal(st_d.vel, st_s.vel)
+
+
+class TestTrainingStepEquivalence:
+    """train_gru's row-compact updates against the same gradients applied densely."""
+
+    CONFIGS = {
+        "onehot-bpr-momentum": dict(loss_kind="bpr", momentum=0.5),
+        "deep2-bias-momentum": dict(n_layers=2, deep_input=True, use_bias=True, momentum=0.4),
+        "dsum-xent-rmsprop-momentum": dict(
+            input_mode="discounted_sum", input_decay=0.8, loss_kind="xent",
+            optimizer_kind="rmsprop", momentum=0.3,
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_compact_rows_match_dense_updates(self, config, monkeypatch, rng):
+        sessions = [list(rng.integers(0, 40, int(rng.integers(2, 7)))) for _ in range(60)]
+        store, vocab = store_from_lists(sessions, n_items=40)
+        hyper = HyperParams(hidden_size=6, batch_width=8, learning_rate=0.05, epochs=1,
+                            seed=3, **self.CONFIGS[config])
+        shadows = {}  # id(param) -> (param, state, dense-path param, dense-path state)
+        compact_calls = []
+
+        def both_paths(update):
+            def run(param, grad, state, lr, rows=None, **kwargs):
+                if id(param) not in shadows:
+                    shadows[id(param)] = (param, state, param.copy(), copy.deepcopy(state))
+                _, _, d_param, d_state = shadows[id(param)]
+                dense = grad
+                if rows is not None:
+                    compact_calls.append(len(rows))
+                    dense = np.zeros(param.shape)
+                    dense[rows] = grad
+                update(d_param, dense, d_state, lr, rows=None, **kwargs)
+                update(param, grad, state, lr, rows=rows, **kwargs)
+            return run
+
+        monkeypatch.setattr(training, "adagrad_update", both_paths(adagrad_update))
+        monkeypatch.setattr(training, "rmsprop_update", both_paths(rmsprop_update))
+        training.train_gru(store, vocab, hyper)
+
+        assert compact_calls and max(compact_calls) < 40 + hyper.hidden_size
+        for param, state, d_param, d_state in shadows.values():
+            np.testing.assert_array_equal(param, d_param)
+            np.testing.assert_array_equal(state.acc, d_state.acc)
+            np.testing.assert_array_equal(state.vel, d_state.vel)
 
 
 class TestDropout:
