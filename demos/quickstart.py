@@ -22,6 +22,7 @@ from sessrec.evaluate import (
     PopScorer,
     SpopScorer,
     evaluate,
+    top_k,
 )
 from sessrec.gru import HyperParams
 from sessrec.modelio import gru_from_file, gru_to_file, load_model_file, save_model_file
@@ -89,13 +90,13 @@ print(f"reloaded model recall@5 = {rep.recall:.4f} "
       f"(file is {len(buf.getvalue())} bytes)")
 
 # --- 5. recommend for a live session ---------------------------------------
+# Feed every click of the session so far, then score the catalog once.
 scorer = GruScorer(reloaded)
 scorer.reset()
 prefix = ["sku-003", "sku-017"]
-scores = None
 for item in prefix:
-    scores = scorer.step(vocab.index[item])
-top = np.lexsort((np.arange(N_ITEMS), -scores))[:5]
+    scorer.feed(vocab.index[item])
+scores = scorer.scores()
 print(f"after {prefix}: " + ", ".join(
-    f"{vocab.items[i]} ({scores[i]:+.3f})" for i in top
+    f"{vocab.items[i]} ({scores[i]:+.3f})" for i in top_k(scores, 5)
 ))

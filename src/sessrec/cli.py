@@ -25,6 +25,7 @@ from .evaluate import (
     SessionScorer,
     SpopScorer,
     evaluate as run_evaluation,
+    top_k,
 )
 from .gru import HyperParams
 
@@ -157,6 +158,9 @@ def _hyper_from_args(args) -> HyperParams:
 def cmd_train(args) -> int:
     hyper = _hyper_from_args(args)
     store, vocab = _load_store(args.data)
+    if len(store) == 0:
+        print("error: no usable sessions in input", file=sys.stderr)
+        return 1
     try:
         params = training.train_gru(store, vocab, hyper)
     except training.TrainingDiverged as exc:
@@ -236,19 +240,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    k = int(args.topk)
+    if k < 1:
+        print(f"error: --topk must be at least 1, got {k}", file=sys.stderr)
+        return 1
     with open(args.model, "rb") as f:
         mf = modelio.load_model_file(f)
     scorer = _scorer_for(mf)
-    k = int(args.topk)
     for line in args.infile:
-        tokens = line.split()
-        if not tokens:
-            print()
-            continue
-        scorer.reset()
-        scores = None
-        fed = 0
-        for tok in tokens:
+        known = []
+        for tok in line.split():
             idx = mf.vocab.index.get(tok)
             if idx is None:
                 if args.strict:
@@ -256,14 +257,16 @@ def cmd_recommend(args) -> int:
                     return 1
                 print(f"warning: skipping unknown item id {tok!r}", file=sys.stderr)
                 continue
-            scores = scorer.step(idx)
-            fed += 1
-        if scores is None:
+            known.append(idx)
+        if not known:
             print()
             continue
-        order = np.lexsort((np.arange(len(scores)), -scores))[:k]
+        scorer.reset()
+        for idx in known:
+            scorer.feed(idx)
+        scores = scorer.scores()
         fields = []
-        for i in order:
+        for i in top_k(scores, k):
             fields.append(mf.vocab.items[i])
             fields.append(f"{scores[i]:.6g}")
         print("\t".join(fields))

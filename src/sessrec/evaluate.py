@@ -8,7 +8,7 @@ cannot look good.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -22,13 +22,13 @@ from .baselines import (
     pop_score,
     spop_score,
 )
-from .data import SessionStore
-from .gru import HiddenState, NetworkParams, forward_step, score_all
-from .data import MiniBatch
+from .data import MiniBatch, SessionStore
+from .gru import HiddenState, NetworkParams, apply_input_discounted, forward_step, score_all
 
 __all__ = [
     "EvalReport",
     "rank_of",
+    "top_k",
     "evaluate",
     "SessionScorer",
     "GruScorer",
@@ -65,16 +65,31 @@ def rank_of(scores: np.ndarray, target: int) -> int:
 
 
 class SessionScorer(Protocol):
-    """Stateful scorer: reset at session start, then one step per event."""
+    """Stateful scorer: ``reset`` at session start, ``feed`` once per event,
+    ``scores`` for the next item whenever a ranking is needed.
+
+    Feeding does no scoring, so a caller that ranks only after the last
+    event of a prefix pays for one score vector, not one per event.
+    Scorers subclass this protocol to inherit ``step``.
+    """
 
     def reset(self) -> None: ...
 
-    def step(self, item: int) -> np.ndarray:
-        """Consume one event; return scores for the next item, full vocab."""
+    def feed(self, item: int) -> None:
+        """Consume one event without scoring."""
         ...
 
+    def scores(self) -> np.ndarray:
+        """Scores for the next item over the full vocabulary."""
+        ...
 
-class GruScorer:
+    def step(self, item: int) -> np.ndarray:
+        """Consume one event; return scores for the next item, full vocab."""
+        self.feed(item)
+        return self.scores()
+
+
+class GruScorer(SessionScorer):
     def __init__(self, params: NetworkParams):
         self.params = params
         self.reset()
@@ -85,9 +100,7 @@ class GruScorer:
         )
         self._prefix: list[int] = []
 
-    def step(self, item: int) -> np.ndarray:
-        from .gru import apply_input_discounted
-
+    def feed(self, item: int) -> None:
         self._prefix.append(item)
         batch = MiniBatch(
             inputs=np.array([item]),
@@ -104,21 +117,26 @@ class GruScorer:
             self.params, batch, self._h, sampled_columns=np.empty(0, dtype=np.intp),
             training=False, input_vectors=vec,
         )
+
+    def scores(self) -> np.ndarray:
         return score_all(self.params, self._h.layers[-1][0])
 
 
-class PopScorer:
+class PopScorer(SessionScorer):
     def __init__(self, vocab: ItemVocab):
         self._scores = pop_score(vocab)
 
     def reset(self) -> None:
         pass
 
-    def step(self, item: int) -> np.ndarray:
+    def feed(self, item: int) -> None:
+        pass
+
+    def scores(self) -> np.ndarray:
         return self._scores
 
 
-class SpopScorer:
+class SpopScorer(SessionScorer):
     def __init__(self, vocab: ItemVocab):
         self.vocab = vocab
         self._prefix: list[int] = []
@@ -126,23 +144,29 @@ class SpopScorer:
     def reset(self) -> None:
         self._prefix = []
 
-    def step(self, item: int) -> np.ndarray:
+    def feed(self, item: int) -> None:
         self._prefix.append(item)
+
+    def scores(self) -> np.ndarray:
         return spop_score(self._prefix, self.vocab)
 
 
-class ItemKnnScorer:
+class ItemKnnScorer(SessionScorer):
     def __init__(self, model: ItemKnnModel):
         self.model = model
+        self._last: int | None = None
 
     def reset(self) -> None:
-        pass
+        self._last = None
 
-    def step(self, item: int) -> np.ndarray:
-        return itemknn_score(self.model, item)
+    def feed(self, item: int) -> None:
+        self._last = item
+
+    def scores(self) -> np.ndarray:
+        return itemknn_score(self.model, self._last)
 
 
-class BprMfScorer:
+class BprMfScorer(SessionScorer):
     def __init__(self, model: BprMfModel):
         self.model = model
         self._prefix: list[int] = []
@@ -150,9 +174,34 @@ class BprMfScorer:
     def reset(self) -> None:
         self._prefix = []
 
-    def step(self, item: int) -> np.ndarray:
+    def feed(self, item: int) -> None:
         self._prefix.append(item)
+
+    def scores(self) -> np.ndarray:
         return bprmf_score_session(self.model, self._prefix)
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` best scores: score descending, then index ascending.
+
+    Equals ``np.lexsort((np.arange(n), -scores))[:k]`` for every input,
+    NaNs last by index, without sorting the whole vector: a partition finds
+    the k-th best value, only the fewer than ``k`` items strictly better
+    than it are sorted, and the items tied with it follow in index order.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    key = -np.asarray(scores)  # ascending key, NaN last, as lexsort orders it
+    k = min(k, len(key))
+    kth = np.partition(key, k - 1)[k - 1]
+    if kth != kth:  # NaN: fewer than k non-NaN scores, every one of them ranks
+        better = np.flatnonzero(~np.isnan(key))
+        tied = np.flatnonzero(np.isnan(key))
+    else:
+        better = np.flatnonzero(key < kth)
+        tied = np.flatnonzero(key == kth)
+    better = better[np.argsort(key[better], kind="stable")]
+    return np.concatenate([better, tied[: k - len(better)]])
 
 
 def evaluate(

@@ -136,6 +136,16 @@ class TestTrain:
         assert main(args + ["--model", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_usable_sessions_fails(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("SessionId,ItemId,Time\ns1,a,1000\n")
+        code, out, err = run(
+            ["train", "--data", str(data), "--model", str(tmp_path / "m.bin")], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == "error: no usable sessions in input\n"
+        assert not (tmp_path / "m.bin").exists()
+
     def test_config_file_with_flag_override(self, prepared, tmp_path, capsys):
         train, _ = prepared
         cfg = tmp_path / "run.cfg"
@@ -203,33 +213,70 @@ class TestEvaluateAndRecommend:
         )
         assert code == 0 and "recall@20=" in out
 
-    def test_recommend_matches_evaluator_ordering(self, prepared, tmp_path, capsys, monkeypatch):
-        train, test = prepared
-        model = tmp_path / "m.bin"
-        assert main(["train", "--data", str(train), "--model", str(model),
-                     "--epochs", "1", "--hidden", "8", "--batch", "4"]) == 0
-        query = tmp_path / "q.txt"
-        query.write_text("prod1 prod2\n")
-        code, out, _ = run(
-            ["recommend", "--model", str(model), "--topk", "5", str(query)], capsys
-        )
-        assert code == 0
-        fields = out.strip().splitlines()[-1].split("\t")
-        items, scores = fields[0::2], [float(x) for x in fields[1::2]]
-        assert len(items) == 5
-        assert scores == sorted(scores, reverse=True)
-        # cross-check against direct scoring
-        from sessrec.evaluate import GruScorer
-        from sessrec.modelio import gru_from_file, load_model_file
+    def test_recommend_matches_evaluator_ordering(self, prepared, tmp_path, capsys):
+        from sessrec.cli import _scorer_for
+        from sessrec.modelio import load_model_file
 
-        with open(model, "rb") as f:
-            mf = load_model_file(f)
-        scorer = GruScorer(gru_from_file(mf))
-        vec = None
-        for tok in ["prod1", "prod2"]:
-            vec = scorer.step(mf.vocab.index[tok])
-        order = np.lexsort((np.arange(len(vec)), -vec))[:5]
-        assert items == [mf.vocab.items[i] for i in order]
+        train, test = prepared
+        for kind in ["gru", "pop", "spop", "itemknn", "bprmf"]:
+            model = tmp_path / f"{kind}.bin"
+            if kind == "gru":
+                argv = ["train", "--data", str(train), "--model", str(model),
+                        "--epochs", "1", "--hidden", "8", "--batch", "4"]
+            else:
+                argv = ["baseline", "--kind", kind, "--data", str(train),
+                        "--model", str(model), "--epochs", "1"]
+            assert main(argv) == 0
+            with open(model, "rb") as f:
+                mf = load_model_file(f)
+            v = mf.vocab.items
+            lines = ["prod1 prod2", f"{v[1]} nosuch {v[2]} {v[0]}", f"ghost {v[3]}",
+                     f"{v[2]} {v[2]} nope {v[4]} {v[1]} {v[3]}", "", "missing"]
+            query = tmp_path / "q.txt"
+            query.write_text("".join(line + "\n" for line in lines))
+            capsys.readouterr()
+            code, out, err = run(
+                ["recommend", "--model", str(model), "--topk", "5", str(query)], capsys
+            )
+            assert code == 0
+            fields = out.splitlines()[0].split("\t")
+            items, scores = fields[0::2], [float(x) for x in fields[1::2]]
+            assert len(items) == 5
+            assert scores == sorted(scores, reverse=True)
+            # oracle: score after every event, keep the last, full lexsort
+            scorer = _scorer_for(mf)
+            want_out, want_err = [], []
+            for line in lines:
+                scorer.reset()
+                vec = None
+                for tok in line.split():
+                    if tok not in mf.vocab.index:
+                        want_err.append(f"warning: skipping unknown item id {tok!r}")
+                        continue
+                    vec = scorer.step(mf.vocab.index[tok])
+                if vec is None:
+                    want_out.append("")
+                    continue
+                order = np.lexsort((np.arange(len(vec)), -vec))[:5]
+                want_out.append("\t".join(
+                    x for i in order for x in (mf.vocab.items[i], f"{vec[i]:.6g}")))
+            assert out == "".join(line + "\n" for line in want_out), kind
+            assert err == "".join(line + "\n" for line in want_err), kind
+
+    @pytest.mark.parametrize("topk", ["0", "-2"])
+    def test_recommend_topk_below_one_rejected(self, topk, prepared, tmp_path, capsys):
+        train, _ = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        query = tmp_path / "q.txt"
+        query.write_text("prod1\n")
+        capsys.readouterr()
+        code, out, err = run(
+            ["recommend", "--model", str(model), "--topk", topk, str(query)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_recommend_unknown_item_skipped_with_warning(self, prepared, tmp_path, capsys):
         train, _ = prepared

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sessrec.evaluate import EvalReport, PopScorer, evaluate, rank_of
+from sessrec.evaluate import EvalReport, GruScorer, PopScorer, evaluate, rank_of, top_k
+from sessrec.gru import HyperParams, init_network
 
 from conftest import store_from_lists
 
@@ -140,3 +142,42 @@ class TestEvaluate:
     def test_report_line_format(self):
         rep = EvalReport(0.5, 0.25, 20, 100)
         assert rep.line() == "recall@20=0.500000\tmrr@20=0.250000\tn_cases=100"
+
+
+# few distinct values, so ties, signed zeros, infinities and NaN are common
+SCORE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]
+
+
+class TestTopK:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_lexsort(self, data):
+        pool = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=4))
+        n = data.draw(st.integers(1, 60))
+        scores = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, 70))
+        want = np.lexsort((np.arange(n), -scores))[:k]
+        got = top_k(scores, k)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+class TestLazyScoring:
+    @pytest.mark.parametrize("config", [
+        {},
+        {"n_layers": 2, "deep_input": True},
+        {"input_mode": "discounted_sum", "input_decay": 0.6},
+    ], ids=["one_hot", "deep_input_2_layers", "discounted_sum"])
+    def test_feed_then_step_equals_step_per_event(self, config):
+        params = init_network(15, HyperParams(hidden_size=6, seed=3, **config))
+        prefix = [4, 9, 4, 0, 14, 9]
+        eager = GruScorer(params)
+        for item in prefix:
+            want = eager.step(item)
+        lazy = GruScorer(params)
+        lazy.feed(1)
+        lazy.reset()
+        for item in prefix[:-1]:
+            lazy.feed(item)
+        got = lazy.step(prefix[-1])
+        assert got.tobytes() == want.tobytes()
