@@ -63,33 +63,42 @@ class ItemKnnModel:
 
 
 def itemknn_train(store: SessionStore, n_items: int, lam: float = 20.0, k: int = 100) -> ItemKnnModel:
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    rows, cols = [], []
-    for si, sess in enumerate(store):
-        for it in np.unique(sess.items):
-            rows.append(si)
-            cols.append(it)
+    """Fit whose time and memory grow with the co-occurring item pairs and
+    the N × K neighbour arrays, not with N².
+
+    Co-occurrence stays sparse and similarities are computed on its
+    non-zeros only; one sort over all of them orders each row by
+    similarity descending, index ascending on ties, and keeps its first K.
+    Raises ValueError for ``k`` below 1 and a negative or non-finite ``lam``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    per_session = [sess.items for sess in store]
+    items = np.concatenate(per_session or [np.empty(0, dtype=np.int64)])
+    sessions = np.repeat(np.arange(len(per_session)), [len(s) for s in per_session])
     inc = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(store), n_items)
+        (np.ones(len(items)), (sessions, items)), shape=(len(per_session), n_items)
     )
-    co = (inc.T @ inc).toarray()
-    n = np.diag(co).copy()
-    denom = np.sqrt(np.outer(n, n)) + lam
-    with np.errstate(invalid="ignore"):
-        sim = np.where(denom > 0, co / denom, 0.0)
-    np.fill_diagonal(sim, 0.0)
+    inc.data[:] = 1.0  # the constructor summed repeats; a session counts an item once
+    co = (inc.T @ inc).tocoo()
+    n = co.diagonal()
+    off = co.row != co.col
+    row, col, c = co.row[off], co.col[off], co.data[off]
+    # product, then sqrt: the same bits as sqrt(outer(n, n)) element-wise
+    sim = c / (np.sqrt(n[row] * n[col]) + lam)
 
     kk = min(k, n_items - 1) if n_items > 1 else 0
     neighbor_index = np.full((n_items, max(kk, 1)), -1, dtype=np.int64)
     neighbor_sim = np.zeros((n_items, max(kk, 1)))
-    for i in range(n_items):
-        row = sim[i]
-        # deterministic top-K: similarity descending, index ascending on ties
-        order = np.lexsort((np.arange(n_items), -row))[:kk]
-        order = order[row[order] > 0]
-        neighbor_index[i, : len(order)] = order
-        neighbor_sim[i, : len(order)] = row[order]
+    # every stored pair co-occurs at least once and lam is finite, so sim > 0
+    order = np.lexsort((col, -sim, row))
+    row, col, sim = row[order], col[order], sim[order]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)  # position within its row
+    keep = rank < kk
+    neighbor_index[row[keep], rank[keep]] = col[keep]
+    neighbor_sim[row[keep], rank[keep]] = sim[keep]
     return ItemKnnModel(n_items, neighbor_index, neighbor_sim, lam, k)
 
 

@@ -174,13 +174,20 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     store, vocab = _load_store(args.data)
+    if len(store) == 0:
+        print("error: no usable sessions in input", file=sys.stderr)
+        return 1
     kind = args.kind
     if kind in ("pop", "spop"):
         mf = modelio.baseline_to_file(kind, vocab)
     elif kind == "itemknn":
-        model = baselines.itemknn_train(
-            store, len(vocab), lam=float(args.knn_lambda), k=int(args.knn_k)
-        )
+        try:
+            model = baselines.itemknn_train(
+                store, len(vocab), lam=float(args.knn_lambda), k=int(args.knn_k)
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         mf = modelio.itemknn_to_file(model, vocab)
     elif kind == "bprmf":
         model = baselines.bprmf_train(
@@ -217,13 +224,16 @@ def _scorer_for(mf: modelio.ModelFile) -> SessionScorer:
 
 
 def cmd_evaluate(args) -> int:
+    prefilter_n = int(args.prefilter) if args.prefilter is not None else None
+    if prefilter_n is not None and prefilter_n < 1:
+        print(f"error: --prefilter must be at least 1, got {prefilter_n}", file=sys.stderr)
+        return 1
     with open(args.model, "rb") as f:
         mf = modelio.load_model_file(f)
     test = _store_with_vocab(args.test, mf.vocab)
     scorer = _scorer_for(mf)
     report = run_evaluation(
-        scorer, test, k=int(args.cutoff),
-        prefilter_n=int(args.prefilter) if args.prefilter is not None else None,
+        scorer, test, k=int(args.cutoff), prefilter_n=prefilter_n,
         popularity=mf.vocab.popularity,
     )
     if report.n_cases == 0:

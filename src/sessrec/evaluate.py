@@ -193,6 +193,8 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be at least 1, got {k}")
     key = -np.asarray(scores)  # ascending key, NaN last, as lexsort orders it
     k = min(k, len(key))
+    if k == 0:  # no scores at all
+        return np.empty(0, dtype=np.intp)
     kth = np.partition(key, k - 1)[k - 1]
     if kth != kth:  # NaN: fewer than k non-NaN scores, every one of them ranks
         better = np.flatnonzero(~np.isnan(key))
@@ -216,14 +218,14 @@ def evaluate(
 
     With ``prefilter_n`` set, the target is ranked only against the that
     many most popular training items (the target itself always included),
-    which is how very large catalogs are evaluated in practice.
+    which is how very large catalogs are evaluated in practice. It must be
+    at least 1; ties in popularity go to the lower item index.
     """
     candidates: np.ndarray | None = None
     if prefilter_n is not None:
         if popularity is None:
             raise ValueError("prefilter requires training popularity counts")
-        order = np.lexsort((np.arange(len(popularity)), -popularity))
-        candidates = order[:prefilter_n]
+        candidates = top_k(popularity, prefilter_n)
 
     hits = 0
     rr_sum = 0.0

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 from sessrec.baselines import (
     bprmf_score_session,
@@ -74,17 +77,66 @@ class TestSpop:
             spop_score([], vocab)
 
 
-def brute_force_sim(sessions, n_items, lam):
+def brute_force_sim(sessions, n_items, lam, rows=None):
+    """Similarity rows (all rows by default) by counting sessions one by one.
+
+    Items that share no session with the row's item keep similarity 0.
+    """
+    rows = range(n_items) if rows is None else rows
     sets = [set(s) for s in sessions]
-    n = [sum(1 for st in sets if i in st) for i in range(n_items)]
-    sim = np.zeros((n_items, n_items))
-    for a in range(n_items):
-        for b in range(n_items):
-            if a == b:
-                continue
-            co = sum(1 for st in sets if a in st and b in st)
-            sim[a, b] = co / (math.sqrt(n[a] * n[b]) + lam)
+    n = Counter(i for st in sets for i in st)
+    sim = np.zeros((len(rows), n_items))
+    for r, a in enumerate(rows):
+        with_a = [st for st in sets if a in st]
+        for b in set().union(*with_a) - {a}:
+            co = sum(1 for st in with_a if b in st)
+            sim[r, b] = co / (math.sqrt(n[a] * n[b]) + lam)
     return sim
+
+
+def top_k_rows(sim, k):
+    """Neighbour lists of each row: similarity descending, index ascending."""
+    n_rows, n_items = sim.shape
+    kk = min(k, n_items - 1) if n_items > 1 else 0
+    neighbor_index = np.full((n_rows, max(kk, 1)), -1, dtype=np.int64)
+    neighbor_sim = np.zeros((n_rows, max(kk, 1)))
+    for i in range(n_rows):
+        row = sim[i]
+        order = np.lexsort((np.arange(n_items), -row))[:kk]
+        order = order[row[order] > 0]
+        neighbor_index[i, : len(order)] = order
+        neighbor_sim[i, : len(order)] = row[order]
+    return neighbor_index, neighbor_sim
+
+
+def dense_itemknn_fit(store, n_items, lam, k):
+    """The dense N × N fit: a full co-occurrence matrix, then a sort per row.
+
+    It is the reference for itemknn_train's neighbour lists, whose order the
+    model file bytes depend on.
+    """
+    rows, cols = [], []
+    for si, sess in enumerate(store):
+        for it in np.unique(sess.items):
+            rows.append(si)
+            cols.append(it)
+    inc = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(store), n_items)
+    )
+    co = (inc.T @ inc).toarray()
+    n = np.diag(co).copy()
+    denom = np.sqrt(np.outer(n, n)) + lam
+    with np.errstate(invalid="ignore"):
+        sim = np.where(denom > 0, co / denom, 0.0)
+    np.fill_diagonal(sim, 0.0)
+    return top_k_rows(sim, k)
+
+
+# (n_items, sessions); items may appear in no session, sessions may repeat items
+corpora = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6), max_size=12),
+))
 
 
 class TestItemKnn:
@@ -137,6 +189,57 @@ class TestItemKnn:
         model = itemknn_train(store, 2)
         with pytest.raises(IndexError):
             itemknn_score(model, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=corpora, lam=st.sampled_from([0.0, 0.5, 1.0, 3.0, 20.0]),
+           k=st.integers(1, 12))
+    @example(corpus=(1, [[0, 0], [0]]), lam=0.0, k=1)  # N = 1
+    @example(corpus=(1, []), lam=20.0, k=3)  # N = 1, no sessions
+    # ties at lam = 0; items 4 and 5 in no session; fewer than K neighbours
+    @example(corpus=(6, [[0, 1], [0, 2], [1, 2, 1], [0, 3], [3, 0]]), lam=0.0, k=3)
+    @example(corpus=(4, [[0, 1, 2, 3], [2, 1]]), lam=20.0, k=10)  # K >= N
+    def test_neighbor_lists_equal_dense_fit(self, corpus, lam, k):
+        n_items, sessions = corpus
+        store, _ = store_from_lists(sessions, n_items=n_items)
+        model = itemknn_train(store, n_items, lam=lam, k=k)
+        want_index, want_sim = dense_itemknn_fit(store, n_items, lam, k)
+        assert model.neighbor_index.shape == want_index.shape
+        assert model.neighbor_index.dtype == want_index.dtype
+        assert model.neighbor_index.tobytes() == want_index.tobytes()
+        assert model.neighbor_sim.dtype == want_sim.dtype
+        assert model.neighbor_sim.tobytes() == want_sim.tobytes()
+
+    def test_paper_scale_catalog(self):
+        # 37,483 items, the paper's catalog: a dense N x N fit needs ~11 GB
+        # per matrix, so only a fit that stays sparse can run this test
+        n_items, k = 37_483, 100
+        rng = np.random.default_rng(37)
+        hubs = rng.choice(n_items, 10, replace=False)
+        sessions = []
+        for _ in range(3000):
+            items = list(rng.integers(0, n_items, int(rng.integers(2, 6))))
+            if rng.random() < 0.5:
+                items[0] = int(rng.choice(hubs))
+            sessions.append(items)
+        store, _ = store_from_lists(sessions, n_items=n_items)
+        model = itemknn_train(store, n_items, lam=20.0, k=k)
+        assert model.neighbor_index.shape == (n_items, k)
+        seen = np.unique(np.concatenate(sessions))
+        unseen = int(np.setdiff1d(np.arange(n_items), seen)[0])
+        rows = [int(hubs[0]), int(hubs[1]), int(seen[0]), int(seen[-1]), unseen]
+        want_index, want_sim = top_k_rows(brute_force_sim(sessions, n_items, 20.0, rows), k)
+        assert (want_index[:2] >= 0).all()  # the hubs have more than K neighbours
+        assert (want_index[-1] == -1).all()
+        np.testing.assert_array_equal(model.neighbor_index[rows], want_index)
+        assert model.neighbor_sim[rows].tobytes() == want_sim.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 0}, {"k": -5}, {"lam": -1.0}, {"lam": float("nan")}, {"lam": float("inf")},
+    ])
+    def test_bad_parameters_rejected(self, kwargs):
+        store, _ = store_from_lists([[0, 1]])
+        with pytest.raises(ValueError):
+            itemknn_train(store, 2, **kwargs)
 
 
 class TestBprMf:

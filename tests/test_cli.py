@@ -164,6 +164,34 @@ class TestTrain:
         assert mf.hyper["hidden_size"] == "8"  # config applied
 
 
+class TestBaseline:
+    @pytest.mark.parametrize("kind", ["pop", "spop", "itemknn", "bprmf"])
+    def test_no_usable_sessions_fails(self, kind, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("SessionId,ItemId,Time\ns1,a,1000\n")
+        code, out, err = run(
+            ["baseline", "--kind", kind, "--data", str(data),
+             "--model", str(tmp_path / "m.bin")], capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: no usable sessions in input\n"
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--knn-k", "0"), ("--knn-k", "-5"), ("--knn-lambda", "-1"), ("--knn-lambda", "nan"),
+    ])
+    def test_itemknn_bad_parameters_rejected(self, flag, value, prepared, tmp_path, capsys):
+        train, _ = prepared
+        model = tmp_path / "knn.bin"
+        code, out, err = run(
+            ["baseline", "--kind", "itemknn", "--data", str(train),
+             "--model", str(model), flag, value], capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not model.exists()
+
+
 class TestEvaluateAndRecommend:
     def test_pop_on_degenerate_corpus_perfect_recall(self, tmp_path, capsys):
         # most popular item is always the next one
@@ -277,6 +305,21 @@ class TestEvaluateAndRecommend:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("prefilter", ["0", "-3"])
+    def test_evaluate_prefilter_below_one_rejected(self, prefilter, prepared, tmp_path,
+                                                   capsys):
+        train, test = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            ["evaluate", "--model", str(model), "--test", str(test),
+             "--prefilter", prefilter], capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --prefilter must be at least 1, got {prefilter}\n"
 
     def test_recommend_unknown_item_skipped_with_warning(self, prepared, tmp_path, capsys):
         train, _ = prepared

@@ -125,6 +125,13 @@ class TestEvaluate:
         )
         assert rep.recall == 1.0  # target appended to the candidate set
 
+    @pytest.mark.parametrize("prefilter_n", [0, -3])
+    def test_prefilter_below_one_rejected(self, prefilter_n):
+        store, vocab = store_from_lists([[0, 1, 2], [2, 1]])
+        with pytest.raises(ValueError):
+            evaluate(PopScorer(vocab), store, k=1, prefilter_n=prefilter_n,
+                     popularity=vocab.popularity)
+
     def test_empty_test_flagged(self):
         from sessrec.data import SessionStore
 
@@ -153,7 +160,7 @@ class TestTopK:
     @given(data=st.data())
     def test_matches_full_lexsort(self, data):
         pool = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=4))
-        n = data.draw(st.integers(1, 60))
+        n = data.draw(st.integers(0, 60))
         scores = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
         k = data.draw(st.integers(1, 70))
         want = np.lexsort((np.arange(n), -scores))[:k]
