@@ -135,9 +135,17 @@ def bprmf_train(
     For every event beyond the first, the session prefix average is the
     user vector, the event's item is the positive and the negative is
     sampled uniformly; the update also flows back into the prefix factors.
+    Raises ValueError for ``d`` below 1, negative ``epochs``, a non-finite
+    or non-positive ``lr`` and a negative or non-finite ``reg``.
     """
     if d < 1:
         raise ValueError(f"latent dimension must be >= 1, got {d}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    if not (np.isfinite(reg) and reg >= 0):
+        raise ValueError(f"reg must be finite and >= 0, got {reg}")
     rng = make_rng(seed)
     f = rng.uniform(-0.05, 0.05, size=(n_items, d))
     for _ in range(epochs):

@@ -3,16 +3,17 @@
 Diagnostics go to stderr, data to stdout; every command exits 0 on success.
 A flat ``key = value`` config file can supply defaults for any flag; flags
 given on the command line win.
+
+The ``train`` flags are generated from the fields of :class:`HyperParams`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
-
-import numpy as np
 
 from . import baselines, data, modelio, training
 # "from . import evaluate" would resolve to the evaluate() function re-exported
@@ -27,36 +28,63 @@ from .evaluate import (
     evaluate as run_evaluation,
     top_k,
 )
-from .gru import HyperParams
+from .gru import HyperParams, hyper_field_types
 
 logger = logging.getLogger("sessrec")
 
 DAY_MS = 86_400_000
 
+# HyperParams fields whose train flag is not "--" plus the field name with
+# "_" turned into "-"
+TRAIN_FLAGS = {
+    "loss_kind": "--loss",
+    "hidden_size": "--hidden",
+    "n_layers": "--layers",
+    "batch_width": "--batch",
+    "learning_rate": "--lr",
+    "dropout_rate": "--dropout",
+    "optimizer_kind": "--optimizer",
+    "use_bias": "--bias",
+}
 
-def _read_config(path: str) -> dict[str, str]:
-    cfg = {}
-    with open(path, encoding="utf-8") as f:
+
+class _ConfigArgumentParser(argparse.ArgumentParser):
+    """Raises a parse error instead of exiting, to report it as the config
+    file's."""
+
+    def error(self, message):
+        raise data.DataFormatError(message)
+
+
+def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
+    """Parse ``argv`` again with the config file's ``key = value`` lines as
+    ``--key=value`` arguments in front of the command's own, so that the
+    command line wins. A switch takes ``true`` or ``false``; an unknown key
+    is an error."""
+    front = []
+    with open(args.config, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
+            where = f"config {args.config}, line {line_no}"
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise data.DataFormatError(f"config line {line_no}: expected key = value")
+                raise data.DataFormatError(f"{where}: expected key = value")
             key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset flags from the config file; explicit flags take priority."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _read_config(args.config)
-    for key, value in cfg.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue
-        setattr(args, key, value)
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key in ("command", "func") or not hasattr(args, key):
+                raise data.DataFormatError(f"{where}: unknown key {key!r}")
+            flag = "--" + key.replace("_", "-")
+            if not isinstance(getattr(args, key), bool):
+                front.append(f"{flag}={value}")
+            elif value in ("true", "false"):  # a store_true switch
+                front += [flag] if value == "true" else []
+            else:
+                raise data.DataFormatError(f"{where}: {key} takes true or false, got {value!r}")
+    try:
+        return build_parser(_ConfigArgumentParser).parse_args(argv[:1] + front + argv[1:])
+    except data.DataFormatError as exc:
+        raise data.DataFormatError(f"config {args.config}: {exc}") from None
 
 
 def _data_path(path: str) -> str:
@@ -71,53 +99,28 @@ def _data_path(path: str) -> str:
 
 
 def _load_store(path: str, max_len: int = data.DEFAULT_MAX_SESSION_LEN,
-                iso_time: bool = False):
+                iso_time: bool = False, vocab: data.ItemVocab | None = None):
+    """Sessions of a CSV, indexed as :func:`data.index_sessions` does. A CSV
+    to build a vocabulary from must hold a usable session."""
     with open(_data_path(path), encoding="utf-8", newline="") as f:
         events = data.read_events_csv(f, iso_time=iso_time)
-    return data.ingest_events(events, max_session_len=max_len)
-
-
-def _store_with_vocab(path: str, vocab: data.ItemVocab):
-    """Read a test CSV and index it against an existing (train) vocabulary."""
-    with open(_data_path(path), encoding="utf-8", newline="") as f:
-        events = data.read_events_csv(f)
-    by_session: dict[str, list[data.Event]] = {}
-    for e in events:
-        by_session.setdefault(e.session_id, []).append(e)
-    sessions = []
-    skipped_items = 0
-    for sid, evs in sorted(by_session.items(), key=lambda kv: (kv[1][0].timestamp, kv[0])):
-        evs.sort(key=lambda e: e.timestamp)
-        idx, times = [], []
-        for e in evs:
-            i = vocab.index.get(e.item_id)
-            if i is None:
-                skipped_items += 1
-                continue
-            idx.append(i)
-            times.append(e.timestamp)
-        if len(idx) >= 2:
-            sessions.append(
-                data.Session(sid, np.asarray(idx, dtype=np.int64),
-                             np.asarray(times, dtype=np.int64))
-            )
-    if skipped_items:
-        logger.warning("dropped %d events with items unknown to the model vocabulary",
-                       skipped_items)
-    return data.SessionStore(sessions)
+    store, store_vocab, dropped = data.index_sessions(
+        data.EventColumns.from_events(events), vocab, max_len)
+    if vocab is None and len(store) == 0:
+        raise data.DataFormatError("no usable sessions in input")
+    if dropped:
+        logger.warning("dropped %d events with items unknown to the model vocabulary", dropped)
+    return store, store_vocab
 
 
 def cmd_prepare(args) -> int:
-    store, vocab = _load_store(args.input, max_len=int(args.max_session_len),
+    store, vocab = _load_store(args.input, max_len=args.max_session_len,
                                iso_time=args.iso_time)
-    if len(store) == 0:
-        print("error: no usable sessions in input", file=sys.stderr)
-        return 1
     if args.split_time is not None:
-        boundary = int(args.split_time)
+        boundary = args.split_time
     else:
         last = max(s.times.max() for s in store)
-        boundary = int(last) - int(args.split_last_days) * DAY_MS + 1
+        boundary = int(last) - args.split_last_days * DAY_MS + 1
     train, train_vocab, test = data.split_train_test(store, vocab, boundary)
     if len(train) == 0 or len(test) == 0:
         print(f"error: empty partition (train={len(train)}, test={len(test)} sessions)",
@@ -134,33 +137,20 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _hyper_from_args(args) -> HyperParams:
-    return HyperParams(
-        hidden_size=int(args.hidden if args.hidden is not None else 100),
-        n_layers=int(args.layers if args.layers is not None else 1),
-        batch_width=int(args.batch if args.batch is not None else 50),
-        dropout_rate=float(args.dropout if args.dropout is not None else 0.5),
-        learning_rate=float(args.lr if args.lr is not None else 0.01),
-        momentum=float(args.momentum if args.momentum is not None else 0.0),
-        loss_kind=args.loss or "top1",
-        optimizer_kind=args.optimizer or "adagrad",
-        rmsprop_decay=float(args.rmsprop_decay if args.rmsprop_decay is not None else 0.9),
-        epochs=int(args.epochs if args.epochs is not None else 10),
-        seed=int(args.seed if args.seed is not None else 42),
-        input_mode=args.input_mode or "one_hot",
-        input_decay=float(args.input_decay if args.input_decay is not None else 1.0),
-        deep_input=bool(args.deep_input),
-        use_bias=bool(args.bias),
-        init_scale=float(args.init_scale) if args.init_scale is not None else None,
-    )
+def _train_flag(name: str) -> str:
+    """The train flag of a HyperParams field. Its argparse dest, and its key
+    in a config file, is the flag without "--" and with "-" turned into "_"."""
+    return TRAIN_FLAGS.get(name, "--" + name.replace("_", "-"))
 
 
 def cmd_train(args) -> int:
-    hyper = _hyper_from_args(args)
-    store, vocab = _load_store(args.data)
-    if len(store) == 0:
-        print("error: no usable sessions in input", file=sys.stderr)
+    try:
+        hyper = HyperParams(**{name: getattr(args, _train_flag(name)[2:].replace("-", "_"))
+                               for name in hyper_field_types()})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
+    store, vocab = _load_store(args.data)
     try:
         params = training.train_gru(store, vocab, hyper)
     except training.TrainingDiverged as exc:
@@ -174,34 +164,23 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     store, vocab = _load_store(args.data)
-    if len(store) == 0:
-        print("error: no usable sessions in input", file=sys.stderr)
-        return 1
     kind = args.kind
-    if kind in ("pop", "spop"):
-        mf = modelio.baseline_to_file(kind, vocab)
-    elif kind == "itemknn":
-        try:
-            model = baselines.itemknn_train(
-                store, len(vocab), lam=float(args.knn_lambda), k=int(args.knn_k)
+    try:
+        if kind in ("pop", "spop"):
+            mf = modelio.baseline_to_file(kind, vocab)
+        elif kind == "itemknn":
+            model = baselines.itemknn_train(store, len(vocab), lam=args.knn_lambda, k=args.knn_k)
+            mf = modelio.itemknn_to_file(model, vocab)
+        else:
+            model = baselines.bprmf_train(store, len(vocab), d=args.factors, epochs=args.epochs,
+                                          lr=args.lr, reg=args.reg, seed=args.seed)
+            mf = modelio.bprmf_to_file(
+                model, vocab,
+                {"d": str(args.factors), "lr": repr(args.lr), "reg": repr(args.reg),
+                 "epochs": str(args.epochs)},
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        mf = modelio.itemknn_to_file(model, vocab)
-    elif kind == "bprmf":
-        model = baselines.bprmf_train(
-            store, len(vocab), d=int(args.factors), epochs=int(args.epochs or 10),
-            lr=float(args.lr if args.lr is not None else 0.05),
-            reg=float(args.reg), seed=int(args.seed if args.seed is not None else 42),
-        )
-        mf = modelio.bprmf_to_file(
-            model, vocab,
-            {"d": str(args.factors), "lr": repr(float(args.lr if args.lr is not None else 0.05)),
-             "reg": repr(float(args.reg)), "epochs": str(args.epochs or 10)},
-        )
-    else:
-        print(f"error: unknown baseline kind {kind!r}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     with open(args.model, "wb") as f:
         modelio.save_model_file(mf, f)
@@ -224,16 +203,15 @@ def _scorer_for(mf: modelio.ModelFile) -> SessionScorer:
 
 
 def cmd_evaluate(args) -> int:
-    prefilter_n = int(args.prefilter) if args.prefilter is not None else None
-    if prefilter_n is not None and prefilter_n < 1:
-        print(f"error: --prefilter must be at least 1, got {prefilter_n}", file=sys.stderr)
+    if args.prefilter is not None and args.prefilter < 1:
+        print(f"error: --prefilter must be at least 1, got {args.prefilter}", file=sys.stderr)
         return 1
     with open(args.model, "rb") as f:
         mf = modelio.load_model_file(f)
-    test = _store_with_vocab(args.test, mf.vocab)
+    test, _ = _load_store(args.test, vocab=mf.vocab)
     scorer = _scorer_for(mf)
     report = run_evaluation(
-        scorer, test, k=int(args.cutoff), prefilter_n=prefilter_n,
+        scorer, test, k=args.cutoff, prefilter_n=args.prefilter,
         popularity=mf.vocab.popularity,
     )
     if report.n_cases == 0:
@@ -250,7 +228,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    k = int(args.topk)
+    k = args.topk
     if k < 1:
         print(f"error: --topk must be at least 1, got {k}", file=sys.stderr)
         return 1
@@ -283,8 +261,8 @@ def cmd_recommend(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="sessrec",
         description="Session-based next-item recommendation: GRU network and baselines.",
     )
@@ -298,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--split-time", type=int, help="boundary, ms since epoch")
     g.add_argument("--split-last-days", type=int,
                    help="use sessions of the last N days as the test set")
-    p.add_argument("--max-session-len", default=data.DEFAULT_MAX_SESSION_LEN)
+    p.add_argument("--max-session-len", type=int, default=data.DEFAULT_MAX_SESSION_LEN)
     p.add_argument("--iso-time", action="store_true",
                    help="accept ISO-8601 timestamps and convert to ms")
     p.set_defaults(func=cmd_prepare)
@@ -307,22 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--loss", choices=["top1", "bpr", "xent"])
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--optimizer", choices=["adagrad", "rmsprop"])
-    p.add_argument("--rmsprop-decay", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--input-mode", choices=["one_hot", "discounted_sum"])
-    p.add_argument("--input-decay", type=float)
-    p.add_argument("--deep-input", action="store_true")
-    p.add_argument("--bias", action="store_true")
-    p.add_argument("--init-scale", type=float)
+    types = hyper_field_types()
+    for f in dataclasses.fields(HyperParams):
+        typ, _ = types[f.name]
+        if typ is bool:
+            p.add_argument(_train_flag(f.name), action="store_true", default=f.default)
+        else:
+            p.add_argument(_train_flag(f.name), type=typ, default=f.default,
+                           choices=f.metadata.get("choices"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="fit one of the baseline recommenders")
@@ -333,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knn-lambda", type=float, default=20.0)
     p.add_argument("--knn-k", type=int, default=100)
     p.add_argument("--factors", type=int, default=100)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--reg", type=float, default=1e-5)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", help="run the next-item evaluation protocol")
@@ -365,10 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            args = _with_config(argv, args)
         return args.func(args)
     except (data.DataFormatError, modelio.ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -23,6 +23,8 @@ __all__ = [
     "MiniBatch",
     "SessionBatcher",
     "DataFormatError",
+    "EventColumns",
+    "index_sessions",
     "ingest_events",
     "read_events_csv",
     "write_sessions_csv",
@@ -167,47 +169,95 @@ def read_events_csv(source: TextIO | str, iso_time: bool = False) -> list[Event]
     return events
 
 
+class EventColumns(NamedTuple):
+    """Events column by column, with their ids interned: event ``k`` belongs
+    to session ``session_ids[sessions[k]]``, clicks item
+    ``item_ids[items[k]]`` and happens at ``times[k]``."""
+
+    sessions: np.ndarray
+    session_ids: list[str]
+    items: np.ndarray
+    item_ids: list[str]
+    times: np.ndarray
+
+    @classmethod
+    def from_events(cls, events: Iterable[Event]) -> "EventColumns":
+        events = list(events)
+        session_code: dict[str, int] = {}
+        item_code: dict[str, int] = {}
+        sessions = [session_code.setdefault(e.session_id, len(session_code)) for e in events]
+        items = [item_code.setdefault(e.item_id, len(item_code)) for e in events]
+        return cls(
+            np.array(sessions, dtype=np.int64), list(session_code),
+            np.array(items, dtype=np.int64), list(item_code),
+            np.array([e.timestamp for e in events], dtype=np.int64),
+        )
+
+
+def index_sessions(
+    events: EventColumns,
+    vocab: ItemVocab | None = None,
+    max_session_len: int | None = DEFAULT_MAX_SESSION_LEN,
+) -> tuple[SessionStore, ItemVocab, int]:
+    """Group events into sessions and index their items.
+
+    Events are sorted by timestamp within each session (stable on ties).
+    Sessions shorter than two events are dropped, as are sessions longer
+    than ``max_session_len`` (a bot filter; None keeps every length). The
+    rest are ordered by start time, then id.
+
+    Without ``vocab``, a vocabulary is built over the kept events, with
+    indices assigned by first appearance in session order and popularity
+    counting the kept events. With ``vocab``, items it does not know are
+    dropped, then sessions left shorter than two events. Returns the store,
+    the vocabulary and the number of events dropped for an unknown item.
+    """
+    sessions, times = events.sessions, events.times
+    n = len(events.session_ids)
+    length = np.bincount(sessions, minlength=n)
+    ok = length >= 2
+    if max_session_len is not None:
+        ok &= length <= max_session_len
+    start = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(start, sessions, times)
+    _, id_rank = np.unique(np.array(events.session_ids, dtype=object), return_inverse=True)
+    # by start time, id, then time within the session; stable, so ties keep input order
+    order = np.lexsort((times, sessions, id_rank[sessions], start[sessions]))
+    order = order[ok[sessions[order]]]
+    sessions, codes, times = sessions[order], events.items[order], times[order]
+
+    if vocab is None:
+        codes_seen, first = np.unique(codes, return_index=True)
+        by_first = codes_seen[np.argsort(first)]
+        index = np.full(len(events.item_ids), -1, dtype=np.int64)
+        index[by_first] = np.arange(len(by_first))
+        vocab = ItemVocab([events.item_ids[c] for c in by_first.tolist()],
+                          np.bincount(index[codes], minlength=len(by_first)))
+    else:
+        index = np.array([vocab.index.get(it, -1) for it in events.item_ids], dtype=np.int64)
+    items = index[codes]
+    known = items >= 0
+    dropped = len(items) - int(known.sum())
+    if dropped:
+        keep = known & (np.bincount(sessions[known], minlength=n) >= 2)[sessions]
+        sessions, items, times = sessions[keep], items[keep], times[keep]
+    first = np.flatnonzero(np.diff(sessions, prepend=-1)).tolist()
+    store = SessionStore([
+        Session(events.session_ids[sessions[a]], items[a:b], times[a:b])
+        for a, b in zip(first, first[1:] + [len(sessions)])
+    ])
+    return store, vocab, dropped
+
+
 def ingest_events(
     events: Iterable[Event],
     max_session_len: int = DEFAULT_MAX_SESSION_LEN,
 ) -> tuple[SessionStore, ItemVocab]:
-    """Group events into sessions and build the item vocabulary.
-
-    Events are sorted by timestamp within each session (stable on ties).
-    Sessions of length one are dropped, as are sessions longer than
-    ``max_session_len`` (a bot filter). The vocabulary covers the surviving
-    events only, with indices assigned by first appearance in session order.
-    """
-    by_session: dict[str, list[Event]] = {}
-    for ev in events:
-        by_session.setdefault(ev.session_id, []).append(ev)
-
-    kept: list[tuple[str, list[Event]]] = []
-    for sid, evs in by_session.items():
-        evs.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
-        if 2 <= len(evs) <= max_session_len:
-            kept.append((sid, evs))
-    kept.sort(key=lambda se: (se[1][0].timestamp, se[0]))
-
-    items: list[str] = []
-    index: dict[str, int] = {}
-    counts: list[int] = []
-    sessions: list[Session] = []
-    for sid, evs in kept:
-        idx = np.empty(len(evs), dtype=np.int64)
-        times = np.empty(len(evs), dtype=np.int64)
-        for k, ev in enumerate(evs):
-            i = index.get(ev.item_id)
-            if i is None:
-                i = len(items)
-                index[ev.item_id] = i
-                items.append(ev.item_id)
-                counts.append(0)
-            counts[i] += 1
-            idx[k] = i
-            times[k] = ev.timestamp
-        sessions.append(Session(sid, idx, times))
-    return SessionStore(sessions), ItemVocab(items, counts)
+    """Group events into sessions and build the item vocabulary
+    (:func:`index_sessions` without a vocabulary)."""
+    store, vocab, _ = index_sessions(EventColumns.from_events(events),
+                                     max_session_len=max_session_len)
+    return store, vocab
 
 
 def write_sessions_csv(store: SessionStore, vocab: ItemVocab, out: TextIO) -> None:
@@ -230,47 +280,21 @@ def split_train_test(
     Test events whose item never occurs in train are removed; test sessions
     left shorter than two events are dropped.
     """
+
+    def columns(sessions: list[Session]) -> EventColumns:
+        empty = np.empty(0, dtype=np.int64)
+        return EventColumns(
+            np.repeat(np.arange(len(sessions)), [len(s) for s in sessions]),
+            [s.session_id for s in sessions],
+            np.concatenate([empty, *(s.items for s in sessions)]), vocab.items,
+            np.concatenate([empty, *(s.times for s in sessions)]),
+        )
+
     train_raw = [s for s in store.sessions if s.start_time < boundary]
     test_raw = [s for s in store.sessions if s.start_time >= boundary]
-
-    # Rebuild the vocabulary over train events only.
-    items: list[str] = []
-    index: dict[str, int] = {}
-    counts: list[int] = []
-    train_sessions: list[Session] = []
-    for sess in sorted(train_raw, key=lambda s: (s.start_time, s.session_id)):
-        idx = np.empty(len(sess), dtype=np.int64)
-        for k, old_i in enumerate(sess.items):
-            item_id = vocab.items[old_i]
-            i = index.get(item_id)
-            if i is None:
-                i = len(items)
-                index[item_id] = i
-                items.append(item_id)
-                counts.append(0)
-            counts[i] += 1
-            idx[k] = i
-        train_sessions.append(Session(sess.session_id, idx, sess.times.copy()))
-    train_vocab = ItemVocab(items, counts)
-
-    test_sessions: list[Session] = []
-    for sess in test_raw:
-        keep_idx: list[int] = []
-        keep_t: list[int] = []
-        for old_i, t in zip(sess.items, sess.times):
-            i = index.get(vocab.items[old_i])
-            if i is not None:
-                keep_idx.append(i)
-                keep_t.append(int(t))
-        if len(keep_idx) >= 2:
-            test_sessions.append(
-                Session(
-                    sess.session_id,
-                    np.asarray(keep_idx, dtype=np.int64),
-                    np.asarray(keep_t, dtype=np.int64),
-                )
-            )
-    return SessionStore(train_sessions), train_vocab, SessionStore(test_sessions)
+    train, train_vocab, _ = index_sessions(columns(train_raw), max_session_len=None)
+    test, _, _ = index_sessions(columns(test_raw), train_vocab, max_session_len=None)
+    return train, train_vocab, test
 
 
 class SessionBatcher:

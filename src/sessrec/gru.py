@@ -12,13 +12,17 @@ batch, so a step's cost does not grow with the catalog.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import MiniBatch
 from .linalg import make_rng, sigmoid, uniform_init
-from .optim import dropout_mask
+from .losses import LOSSES
+from .optim import OPTIMIZERS, dropout_mask
 
 __all__ = [
     "HyperParams",
@@ -27,8 +31,8 @@ __all__ = [
     "HiddenState",
     "ForwardCache",
     "Gradients",
+    "hyper_field_types",
     "init_network",
-    "gru_cell",
     "forward_step",
     "backward_step",
     "score_all",
@@ -41,20 +45,26 @@ INPUT_MODES = ("one_hot", "discounted_sum")
 @dataclass
 class HyperParams:
     """Training configuration. Defaults follow the best TOP1 parametrization
-    on the e-commerce click data: batch 50, dropout 0.5, lr 0.01, momentum 0."""
+    on the e-commerce click data: batch 50, dropout 0.5, lr 0.01, momentum 0.
 
+    The fields are the one list of hyperparameters: the model file's hyper
+    block and the ``train`` flags are generated from them, field order being
+    the flags' order in ``--help``. A field's ``choices`` metadata lists the
+    values it accepts.
+    """
+
+    loss_kind: str = field(default="top1", metadata={"choices": tuple(LOSSES)})
     hidden_size: int = 100
     n_layers: int = 1
     batch_width: int = 50
-    dropout_rate: float = 0.5
     learning_rate: float = 0.01
     momentum: float = 0.0
-    loss_kind: str = "top1"
-    optimizer_kind: str = "adagrad"
+    dropout_rate: float = 0.5
+    optimizer_kind: str = field(default="adagrad", metadata={"choices": OPTIMIZERS})
     rmsprop_decay: float = 0.9
     epochs: int = 10
     seed: int = 42
-    input_mode: str = "one_hot"
+    input_mode: str = field(default="one_hot", metadata={"choices": INPUT_MODES})
     input_decay: float = 1.0
     deep_input: bool = False
     use_bias: bool = False
@@ -65,20 +75,35 @@ class HyperParams:
             raise ValueError("hidden_size, n_layers and batch_width must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate out of [0, 1): {self.dropout_rate}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0: {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum out of [0, 1): {self.momentum}")
-        if self.loss_kind not in ("top1", "bpr", "xent"):
-            raise ValueError(f"unknown loss: {self.loss_kind}")
-        if self.optimizer_kind not in ("adagrad", "rmsprop"):
-            raise ValueError(f"unknown optimizer: {self.optimizer_kind}")
-        if self.input_mode not in INPUT_MODES:
-            raise ValueError(f"unknown input mode: {self.input_mode}")
+        for f in dataclasses.fields(self):
+            choices = f.metadata.get("choices")
+            if choices is not None and getattr(self, f.name) not in choices:
+                raise ValueError(f"unknown {f.name}: {getattr(self, f.name)!r}")
+        if not 0.0 <= self.rmsprop_decay < 1.0:
+            raise ValueError(f"rmsprop_decay out of [0, 1): {self.rmsprop_decay}")
         if not 0.0 < self.input_decay <= 1.0:
             raise ValueError(f"input_decay out of (0, 1]: {self.input_decay}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
+        if self.init_scale is not None and not (
+            math.isfinite(self.init_scale) and self.init_scale > 0.0
+        ):
+            raise ValueError(f"init_scale must be finite and > 0: {self.init_scale}")
+
+
+def hyper_field_types() -> dict[str, tuple[type, bool]]:
+    """Each HyperParams field's type and whether it may be None, in field order."""
+    out = {}
+    for name, hint in typing.get_type_hints(HyperParams).items():
+        args = typing.get_args(hint)  # (float, NoneType) for "float | None"
+        out[name] = (args[0], True) if type(None) in args else (hint, False)
+    return out
 
 
 @dataclass
@@ -105,9 +130,9 @@ class GruLayerParams:
     def hidden_size(self) -> int:
         return self.U.shape[0]
 
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[0]
+
+_LAYER_WEIGHTS = ("W_z", "W_r", "W", "U_z", "U_r", "U")
+_LAYER_BIASES = ("b_z", "b_r", "b")
 
 
 @dataclass
@@ -122,7 +147,7 @@ class NetworkParams:
         """(name, array) pairs for every trainable parameter."""
         out = []
         for i, lp in enumerate(self.layers):
-            for nm in ("W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b"):
+            for nm in _LAYER_WEIGHTS + _LAYER_BIASES:
                 arr = getattr(lp, nm)
                 if arr is not None:
                     out.append((f"layers.{i}.{nm}", arr))
@@ -130,6 +155,22 @@ class NetworkParams:
         if self.b_out is not None:
             out.append(("b_out", self.b_out))
         return out
+
+    @classmethod
+    def from_named(
+        cls, n_items: int, hyper: HyperParams, named: dict[str, np.ndarray]
+    ) -> "NetworkParams":
+        """Inverse of :meth:`named_params`; 1-row bias matrices become vectors."""
+
+        def vec(m: np.ndarray | None) -> np.ndarray | None:
+            return None if m is None else m.reshape(-1)
+
+        layers = [
+            GruLayerParams(**{nm: named[f"layers.{i}.{nm}"] for nm in _LAYER_WEIGHTS},
+                           **{nm: vec(named.get(f"layers.{i}.{nm}")) for nm in _LAYER_BIASES})
+            for i in range(hyper.n_layers)
+        ]
+        return cls(n_items, layers, named["W_out"], vec(named.get("b_out")), hyper)
 
 
 class HiddenState:
@@ -175,19 +216,6 @@ def init_network(n_items: int, hyper: HyperParams) -> NetworkParams:
     W_out = uniform_init(n_items, h, rng, scale=hyper.init_scale)
     b_out = np.zeros(n_items) if hyper.use_bias else None
     return NetworkParams(n_items, layers, W_out, b_out, hyper)
-
-
-def gru_cell(x_row: np.ndarray, h_prev: np.ndarray, p: GruLayerParams) -> np.ndarray:
-    """Single-vector GRU step: gated interpolation of h_prev and a candidate."""
-    x = np.asarray(x_row, dtype=np.float64)
-    h = np.asarray(h_prev, dtype=np.float64)
-    bz = 0.0 if p.b_z is None else p.b_z
-    br = 0.0 if p.b_r is None else p.b_r
-    bc = 0.0 if p.b is None else p.b
-    z = sigmoid(x @ p.W_z + h @ p.U_z + bz)
-    r = sigmoid(x @ p.W_r + h @ p.U_r + br)
-    c = np.tanh(x @ p.W + (r * h) @ p.U + bc)
-    return (1.0 - z) * h + z * c
 
 
 @dataclass

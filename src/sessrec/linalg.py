@@ -1,9 +1,6 @@
-"""Dense matrix primitives used by the network.
-
-Everything operates on plain 2-D float64 numpy arrays. The module exists
-so that the rest of the code base has one place for shape checking,
-seeded initialization and the row gather/scatter operations that realize
-1-of-N inputs and sparse weight updates.
+"""Numeric primitives shared by the network and the baselines: the seeded
+random stream, weight initialization and a logistic function that never
+overflows.
 """
 
 from __future__ import annotations
@@ -12,31 +9,12 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "matmul",
-    "sigmoid",
-    "tanh_map",
-    "uniform_init",
-    "row_gather",
-    "row_scatter_add",
-    "make_rng",
-]
+__all__ = ["sigmoid", "uniform_init", "make_rng"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; same seed gives the same stream everywhere."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -47,11 +25,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def tanh_map(x: np.ndarray) -> np.ndarray:
-    """Elementwise tanh."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
 
 
 def uniform_init(
@@ -70,33 +43,3 @@ def uniform_init(
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     x = math.sqrt(6.0 / (rows + cols)) if scale is None else float(scale)
     return rng.uniform(-x, x, size=(rows, cols))
-
-
-def _check_indices(m: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
-        raise IndexError(
-            f"row index out of range for matrix with {m.shape[0]} rows: "
-            f"min={idx.min()}, max={idx.max()}"
-        )
-    return idx
-
-
-def row_gather(m: np.ndarray, indices) -> np.ndarray:
-    """Select rows of ``m`` in the given order (a copy)."""
-    idx = _check_indices(m, indices)
-    return m[idx].copy()
-
-
-def row_scatter_add(m: np.ndarray, indices, delta: np.ndarray) -> None:
-    """Add ``delta`` rows into ``m`` at ``indices``, in place.
-
-    Duplicate indices accumulate.
-    """
-    idx = _check_indices(m, indices)
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (len(idx), m.shape[1]):
-        raise ValueError(
-            f"scatter delta shape {delta.shape} != ({len(idx)}, {m.shape[1]})"
-        )
-    np.add.at(m, idx, delta)

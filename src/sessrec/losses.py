@@ -21,7 +21,6 @@ __all__ = [
     "bpr_loss",
     "top1_loss",
     "xent_loss",
-    "relative_rank",
     "LOSSES",
 ]
 
@@ -134,13 +133,4 @@ def xent_loss(
     return value, grad
 
 
-def relative_rank(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Per-lane fraction of negatives scored strictly above the positive."""
-    scores, mask = _check(scores, mask)
-    pos = np.diag(scores)
-    above = (scores > pos[:, None]) & mask
-    n_neg = np.maximum(mask.sum(axis=1), 1)
-    return above.sum(axis=1) / n_neg
-
-
-LOSSES = {"bpr": bpr_loss, "top1": top1_loss, "xent": xent_loss}
+LOSSES = {"top1": top1_loss, "bpr": bpr_loss, "xent": xent_loss}

@@ -16,6 +16,7 @@ Round-trips are bit-exact; unknown magic or version is rejected loudly.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -24,7 +25,7 @@ import numpy as np
 
 from .baselines import BprMfModel, ItemKnnModel
 from .data import ItemVocab
-from .gru import GruLayerParams, HyperParams, NetworkParams
+from .gru import HyperParams, NetworkParams, hyper_field_types
 
 __all__ = ["ModelFile", "ModelFormatError", "save_model_file", "load_model_file",
            "gru_to_file", "gru_from_file", "itemknn_to_file", "itemknn_from_file",
@@ -119,75 +120,45 @@ def load_model_file(f: BinaryIO) -> ModelFile:
 # --- conversions between model objects and the container ---
 
 
-def _hyper_to_kv(hyper: HyperParams) -> dict[str, str]:
-    return {
-        "hidden_size": str(hyper.hidden_size),
-        "n_layers": str(hyper.n_layers),
-        "batch_width": str(hyper.batch_width),
-        "dropout_rate": repr(hyper.dropout_rate),
-        "learning_rate": repr(hyper.learning_rate),
-        "momentum": repr(hyper.momentum),
-        "loss_kind": hyper.loss_kind,
-        "optimizer_kind": hyper.optimizer_kind,
-        "rmsprop_decay": repr(hyper.rmsprop_decay),
-        "epochs": str(hyper.epochs),
-        "seed": str(hyper.seed),
-        "input_mode": hyper.input_mode,
-        "input_decay": repr(hyper.input_decay),
-        "deep_input": str(hyper.deep_input),
-        "use_bias": str(hyper.use_bias),
-        "init_scale": "" if hyper.init_scale is None else repr(hyper.init_scale),
-    }
+def _hyper_value(text: str, typ: type, optional: bool):
+    if optional and text == "":
+        return None
+    if typ is bool:
+        if text not in ("True", "False"):
+            raise ValueError(text)
+        return text == "True"
+    return typ(text)
 
 
 def _hyper_from_kv(kv: dict[str, str]) -> HyperParams:
-    return HyperParams(
-        hidden_size=int(kv["hidden_size"]),
-        n_layers=int(kv["n_layers"]),
-        batch_width=int(kv["batch_width"]),
-        dropout_rate=float(kv["dropout_rate"]),
-        learning_rate=float(kv["learning_rate"]),
-        momentum=float(kv["momentum"]),
-        loss_kind=kv["loss_kind"],
-        optimizer_kind=kv["optimizer_kind"],
-        rmsprop_decay=float(kv["rmsprop_decay"]),
-        epochs=int(kv["epochs"]),
-        seed=int(kv["seed"]),
-        input_mode=kv["input_mode"],
-        input_decay=float(kv["input_decay"]),
-        deep_input=kv["deep_input"] == "True",
-        use_bias=kv["use_bias"] == "True",
-        init_scale=float(kv["init_scale"]) if kv.get("init_scale") else None,
-    )
+    """Every HyperParams field from the hyper block, read by the field's type."""
+    values = {}
+    for name, (typ, optional) in hyper_field_types().items():
+        if name not in kv:
+            raise ModelFormatError(f"hyper block lacks {name!r}")
+        try:
+            values[name] = _hyper_value(kv[name], typ, optional)
+        except ValueError:
+            raise ModelFormatError(
+                f"hyper {name} = {kv[name]!r} is not a {typ.__name__}"
+            ) from None
+    try:
+        return HyperParams(**values)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad hyperparameters in model file: {exc}") from exc
 
 
 def gru_to_file(params: NetworkParams, vocab: ItemVocab) -> ModelFile:
+    """The hyper block holds every HyperParams field as ``str(value)``,
+    or ``""`` for None."""
+    hyper = {name: "" if value is None else str(value)
+             for name, value in dataclasses.asdict(params.hyper).items()}
     matrices = {name: arr for name, arr in params.named_params()}
-    return ModelFile("gru", vocab, _hyper_to_kv(params.hyper), matrices)
+    return ModelFile("gru", vocab, hyper, matrices)
 
 
 def gru_from_file(mf: ModelFile) -> NetworkParams:
-    hyper = _hyper_from_kv(mf.hyper)
-    n_items = len(mf.vocab)
-
-    def mat(name: str) -> np.ndarray:
-        return mf.matrices[name]
-
-    def vec(name: str) -> np.ndarray | None:
-        m = mf.matrices.get(name)
-        return None if m is None else m.reshape(-1)
-
-    layers = []
-    for i in range(hyper.n_layers):
-        p = f"layers.{i}."
-        layers.append(
-            GruLayerParams(
-                W_z=mat(p + "W_z"), W_r=mat(p + "W_r"), W=mat(p + "W"),
-                U_z=mat(p + "U_z"), U_r=mat(p + "U_r"), U=mat(p + "U"),
-                b_z=vec(p + "b_z"), b_r=vec(p + "b_r"), b=vec(p + "b"),
-            )
-        )
-    return NetworkParams(n_items, layers, mat("W_out"), vec("b_out"), hyper)
+    return NetworkParams.from_named(len(mf.vocab), _hyper_from_kv(mf.hyper), mf.matrices)
 
 
 def itemknn_to_file(model: ItemKnnModel, vocab: ItemVocab) -> ModelFile:

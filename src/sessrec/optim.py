@@ -7,15 +7,15 @@ row-compact update (``rows=``) is bit-identical to the equivalent dense one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import make_rng
-
-__all__ = ["OptimState", "adagrad_update", "rmsprop_update", "dropout_mask"]
+__all__ = ["OPTIMIZERS", "OptimState", "adagrad_update", "rmsprop_update", "dropout_mask"]
 
 EPSILON = 1e-6
+
+OPTIMIZERS = ("adagrad", "rmsprop")
 
 
 @dataclass
@@ -107,7 +107,7 @@ def rmsprop_update(
 def dropout_mask(
     shape: tuple[int, ...],
     rate: float,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator | None,
     training: bool = True,
 ) -> np.ndarray:
     """Inverted-dropout multiplier: keep with prob 1-rate, scale kept by 1/(1-rate).
@@ -119,7 +119,5 @@ def dropout_mask(
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return np.ones(shape)
-    if isinstance(rng, int):
-        rng = make_rng(rng)
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)

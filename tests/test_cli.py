@@ -1,10 +1,13 @@
-import io
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from sessrec.cli import main
 from sessrec.data import read_events_csv
+from sessrec.gru import HyperParams
+from sessrec.modelio import gru_from_file, load_model_file, save_model_file
 
 DAY = 86_400_000
 
@@ -163,6 +166,125 @@ class TestTrain:
         assert mf.hyper["loss_kind"] == "top1"  # flag wins
         assert mf.hyper["hidden_size"] == "8"  # config applied
 
+    def test_config_switch_reaches_model_file(self, prepared, tmp_path, capsys):
+        train, _ = prepared
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 0\ndeep_input = true\nbias = false\n")
+        model = tmp_path / "m.bin"
+        code, _, _ = run(["train", "--data", str(train), "--model", str(model),
+                          "--config", str(cfg)], capsys)
+        assert code == 0
+        with open(model, "rb") as f:
+            hyper = gru_from_file(load_model_file(f)).hyper
+        assert hyper.deep_input is True and hyper.use_bias is False
+
+    @pytest.mark.parametrize("line, named", [
+        ("bogus = 3", "'bogus'"), ("deep_input = yes", "deep_input"), ("hidden = abc", "--hidden"),
+    ])
+    def test_bad_config_line_fails(self, line, named, prepared, tmp_path, capsys):
+        train, _ = prepared
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs = 0\n{line}\n")
+        model = tmp_path / "m.bin"
+        code, out, err = run(["train", "--data", str(train), "--model", str(model),
+                              "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: config") and err.count("\n") == 1 and named in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flags, config, named", [
+        (["--hidden", "0"], "", "hidden_size"),
+        (["--lr", "-1"], "", "learning_rate"),
+        (["--lr", "nan"], "", "learning_rate"),
+        (["--rmsprop-decay", "1.5"], "", "rmsprop_decay"),
+        (["--init-scale", "-1"], "", "init_scale"),
+        (["--init-scale", "nan"], "", "init_scale"),
+        (["--seed", "-1"], "", "seed"),
+        ([], "hidden = abc\n", "--hidden"),
+    ], ids=["hidden-0", "lr-neg", "lr-nan", "rmsprop-decay-1.5", "init-scale-neg",
+            "init-scale-nan", "seed-neg", "config-hidden-abc"])
+    def test_bad_hyperparameter_exits_1(self, flags, config, named, prepared, tmp_path,
+                                        capsys):
+        train, _ = prepared
+        model = tmp_path / "m.bin"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, err = run(["train", "--data", str(train), "--model", str(model),
+                              "--config", str(cfg), *flags], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not model.exists()
+
+
+PIN_CSV = """SessionId,ItemId,Time
+s1,a,1000
+s1,b,2000
+s1,c,3000
+s2,b,1500
+s2,d,2500
+s3,a,4000
+s3,e,4100
+s3,a,4200
+"""
+
+# Each HyperParams field: its train flag with a value other than the
+# default, and that value as the field holds it.
+NON_DEFAULT = {
+    "loss_kind": (["--loss", "bpr"], "bpr"),
+    "hidden_size": (["--hidden", "3"], 3),
+    "n_layers": (["--layers", "2"], 2),
+    "batch_width": (["--batch", "7"], 7),
+    "learning_rate": (["--lr", "0.2"], 0.2),
+    "momentum": (["--momentum", "0.5"], 0.5),
+    "dropout_rate": (["--dropout", "0.25"], 0.25),
+    "optimizer_kind": (["--optimizer", "rmsprop"], "rmsprop"),
+    "rmsprop_decay": (["--rmsprop-decay", "0.8"], 0.8),
+    "epochs": (["--epochs", "0"], 0),
+    "seed": (["--seed", "9"], 9),
+    "input_mode": (["--input-mode", "discounted_sum"], "discounted_sum"),
+    "input_decay": (["--input-decay", "0.6"], 0.6),
+    "deep_input": (["--deep-input"], True),
+    "use_bias": (["--bias"], True),
+    "init_scale": (["--init-scale", "0.3"], 0.3),
+}
+
+
+class TestModelFileSchema:
+    """``train --epochs 0`` runs no training step, so these files hold only
+    the seeded initialization: no bit of them depends on BLAS."""
+
+    @pytest.fixture
+    def pin_csv(self, tmp_path):
+        path = tmp_path / "pin.csv"
+        path.write_text(PIN_CSV)
+        return path
+
+    @pytest.mark.parametrize("flags, sha256", [
+        ([], "83622468c3243a7443cccdd2d5f9d452f24996c54474733825d14ceea13cd004"),
+        ([f for flags, _ in NON_DEFAULT.values() for f in flags],
+         "8e1e6e7101081c94638f4505e9af6825e4f9c7071f1e4a0d511047a1f1333d59"),
+    ], ids=["defaults", "every-field-non-default"])
+    def test_model_file_bytes_pinned(self, flags, sha256, pin_csv, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(pin_csv), "--model", str(model),
+                     "--epochs", "0", *flags]) == 0
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
+
+    def test_table_covers_every_field(self):
+        assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(HyperParams)}
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+    def test_flag_round_trips_through_file(self, name, pin_csv, tmp_path, capsys):
+        flags, value = NON_DEFAULT[name]
+        assert getattr(HyperParams(), name) != value
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(pin_csv), "--model", str(model),
+                     "--epochs", "0", *flags]) == 0
+        with open(model, "rb") as f:
+            hyper = gru_from_file(load_model_file(f)).hyper
+        want = dataclasses.replace(HyperParams(epochs=0), **{name: value})
+        assert hyper == want
+
 
 class TestBaseline:
     @pytest.mark.parametrize("kind", ["pop", "spop", "itemknn", "bprmf"])
@@ -190,6 +312,28 @@ class TestBaseline:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert not model.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--factors", "0"), ("--epochs", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--reg", "-1"),
+    ])
+    def test_bprmf_bad_parameters_rejected(self, flag, value, prepared, tmp_path, capsys):
+        train, _ = prepared
+        model = tmp_path / "bpr.bin"
+        code, out, err = run(
+            ["baseline", "--kind", "bprmf", "--data", str(train),
+             "--model", str(model), flag, value], capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not model.exists()
+
+    def test_bprmf_zero_epochs_recorded(self, prepared, tmp_path, capsys):
+        train, _ = prepared
+        model = tmp_path / "bpr.bin"
+        assert main(["baseline", "--kind", "bprmf", "--data", str(train),
+                     "--model", str(model), "--epochs", "0"]) == 0
+        with open(model, "rb") as f:
+            assert load_model_file(f).hyper["epochs"] == "0"
 
 
 class TestEvaluateAndRecommend:
@@ -320,6 +464,60 @@ class TestEvaluateAndRecommend:
         )
         assert code == 1 and out == ""
         assert err == f"error: --prefilter must be at least 1, got {prefilter}\n"
+
+    def test_config_sets_cutoff(self, prepared, tmp_path, capsys):
+        train, test = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("cutoff = 5\n")
+        capsys.readouterr()
+        code, out, _ = run(["evaluate", "--model", str(model), "--test", str(test),
+                            "--config", str(cfg)], capsys)
+        assert code == 0 and out.startswith("recall@5=")
+
+    def test_test_csv_gets_bot_filter(self, prepared, tmp_path, capsys):
+        # a 250-event session in a test CSV that prepare did not write is
+        # dropped, as prepare drops it
+        train, _ = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        with open(model, "rb") as f:
+            items = load_model_file(f).vocab.items
+        rows = [f"bot,{items[k % len(items)]},{k}" for k in range(250)]
+        rows += [f"s1,{items[0]},5", f"s1,{items[1]},6", f"s1,{items[2]},7"]
+        test = tmp_path / "raw.csv"
+        test.write_text("SessionId,ItemId,Time\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        code, out, _ = run(["evaluate", "--model", str(model), "--test", str(test)], capsys)
+        assert code == 0 and out.endswith("n_cases=2\n")
+
+    @pytest.mark.parametrize("edit", [
+        {"hidden_size": None}, {"hidden_size": "abc"}, {"loss_kind": "hinge"},
+    ], ids=["missing", "unparseable", "rejected"])
+    def test_bad_hyper_block_exits_1(self, edit, prepared, tmp_path, capsys):
+        train, test = prepared
+        model = tmp_path / "gru.bin"
+        assert main(["train", "--data", str(train), "--model", str(model),
+                     "--epochs", "0", "--hidden", "4"]) == 0
+        with open(model, "rb") as f:
+            mf = load_model_file(f)
+        for key, value in edit.items():
+            if value is None:
+                del mf.hyper[key]
+            else:
+                mf.hyper[key] = value
+        with open(model, "wb") as f:
+            save_model_file(mf, f)
+        query = tmp_path / "q.txt"
+        query.write_text(mf.vocab.items[0] + "\n")
+        capsys.readouterr()
+        for argv in (["evaluate", "--test", str(test)], ["recommend", str(query)]):
+            code, out, err = run(argv + ["--model", str(model)], capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_recommend_unknown_item_skipped_with_warning(self, prepared, tmp_path, capsys):
         train, _ = prepared

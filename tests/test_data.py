@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from sessrec.data import (
     DataFormatError,
     Event,
+    EventColumns,
+    ItemVocab,
     SessionBatcher,
+    index_sessions,
     ingest_events,
     read_events_csv,
     split_train_test,
@@ -147,6 +150,77 @@ class TestSplit:
             assert np.all(sess.items < len(tv))
         # train popularity is consistent after re-indexing
         assert tv.popularity.sum() == train.n_events
+
+
+def index_by_hand(events, vocab=None, max_len=None):
+    """Straight-line grouping and indexing: the reference for index_sessions.
+
+    Returns (session id, item ids, times) per kept session, the vocabulary's
+    items and popularity, and the count of events dropped as unknown.
+    """
+    by_session = {}
+    for e in events:
+        by_session.setdefault(e.session_id, []).append(e)
+    kept = []
+    for sid, evs in by_session.items():
+        evs = sorted(evs, key=lambda e: e.timestamp)  # stable
+        if len(evs) >= 2 and (max_len is None or len(evs) <= max_len):
+            kept.append((evs[0].timestamp, sid, evs))
+    kept.sort(key=lambda k: (k[0], k[1]))
+    items = [] if vocab is None else list(vocab.items)
+    counts = Counter()
+    sessions, dropped = [], 0
+    for _, sid, evs in kept:
+        known = [e for e in evs if vocab is None or e.item_id in vocab.index]
+        dropped += len(evs) - len(known)
+        if len(known) < 2:
+            continue
+        for e in known:
+            if e.item_id not in items:
+                items.append(e.item_id)
+            counts[e.item_id] += 1
+        sessions.append((sid, [e.item_id for e in known], [e.timestamp for e in known]))
+    popularity = [counts[it] for it in items] if vocab is None else list(vocab.popularity)
+    return sessions, items, popularity, dropped
+
+
+class TestIndexSessions:
+    def test_against_vocab_drops_unknown_then_short_sessions(self):
+        vocab = ItemVocab(["A", "B"], [5, 7])
+        events = [ev("s", "A", 3), ev("s", "X", 1), ev("s", "B", 2),
+                  ev("t", "X", 0), ev("t", "A", 1), ev("u", "A", 9)]
+        store, got_vocab, dropped = index_sessions(EventColumns.from_events(events), vocab)
+        assert got_vocab is vocab
+        assert [(s.session_id, s.items.tolist(), s.times.tolist()) for s in store] == [
+            ("s", [1, 0], [2, 3])]
+        assert dropped == 2  # one X in each of s and t; u was too short to start with
+
+    def test_sessions_ordered_by_start_then_id_not_by_file(self):
+        events = [ev("late", "x", 50), ev("b", "x", 9), ev("late", "y", 5),
+                  ev("a", "y", 20), ev("b", "y", 10), ev("a", "x", 9)]
+        store, _, _ = index_sessions(EventColumns.from_events(events))
+        assert [s.session_id for s in store] == ["late", "a", "b"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("pqrstu"),
+                           st.integers(0, 6)), max_size=40),
+        st.sampled_from([None, 2, 3, 5]),
+        st.one_of(st.none(), st.lists(st.sampled_from("pqrstuv"), unique=True)),
+    )
+    def test_equals_straight_line_reference(self, rows, max_len, vocab_items):
+        events = [ev(*row) for row in rows]
+        vocab = None
+        if vocab_items is not None:
+            vocab = ItemVocab(vocab_items, list(range(len(vocab_items))))
+        store, got_vocab, dropped = index_sessions(
+            EventColumns.from_events(events), vocab, max_len)
+        sessions, items, popularity, want_dropped = index_by_hand(events, vocab, max_len)
+        assert got_vocab.items == items
+        assert got_vocab.popularity.tolist() == popularity
+        assert [(s.session_id, [items[i] for i in s.items], s.times.tolist())
+                for s in store] == sessions
+        assert dropped == want_dropped
 
 
 class TestBatcher:

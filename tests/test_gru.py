@@ -13,7 +13,6 @@ from sessrec.gru import (
     apply_input_discounted,
     backward_step,
     forward_step,
-    gru_cell,
     init_network,
     score_all,
 )
@@ -50,6 +49,21 @@ def cell_by_hand(x, h, p):
     r = sig(x @ p.W_r + h @ p.U_r)
     cand = np.tanh(x @ p.W + (r * h) @ p.U)
     return (1 - z) * h + z * cand
+
+
+def gru_cell(x, h, p):
+    """One forward_step of a one-layer network whose input vector is x.
+
+    Discounted-sum mode feeds ``input_vectors`` as given, so x is arbitrary;
+    dropout is 0, so the step is the GRU cell alone.
+    """
+    hyper = HyperParams(hidden_size=len(h), dropout_rate=0.0, input_mode="discounted_sum")
+    params = NetworkParams(len(x), [p], np.zeros((len(x), len(h))), None, hyper)
+    _, state, _ = forward_step(
+        params, make_batch([0], [0]), HiddenState([np.asarray(h, dtype=float)[None, :]]),
+        np.empty(0, dtype=np.intp), input_vectors=np.asarray(x, dtype=float)[None, :],
+    )
+    return state.layers[0][0]
 
 
 class TestGruCell:

@@ -6,10 +6,17 @@ import pytest
 from sessrec.losses import (
     bpr_loss,
     negatives_mask,
-    relative_rank,
     top1_loss,
     xent_loss,
 )
+
+
+def relative_rank(scores):
+    """Per-lane fraction of the other lanes' targets scored strictly above
+    the positive: the count that TOP1 smooths."""
+    scores = np.asarray(scores, dtype=np.float64)
+    above = (scores > np.diag(scores)[:, None]) & ~np.eye(len(scores), dtype=bool)
+    return above.sum(axis=1) / (len(scores) - 1)
 
 
 def scalar_sigmoid(x):
