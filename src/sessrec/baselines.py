@@ -18,6 +18,7 @@ __all__ = [
     "pop_score",
     "spop_score",
     "ItemKnnModel",
+    "neighbor_width",
     "itemknn_train",
     "itemknn_score",
     "BprMfModel",
@@ -62,6 +63,11 @@ class ItemKnnModel:
     k: int
 
 
+def neighbor_width(n_items: int, k: int) -> int:
+    """Columns of the neighbour arrays: ``k``, at most the other items, at least 1."""
+    return max(min(k, n_items - 1), 1)
+
+
 def itemknn_train(store: SessionStore, n_items: int, lam: float = 20.0, k: int = 100) -> ItemKnnModel:
     """Fit whose time and memory grow with the co-occurring item pairs and
     the N × K neighbour arrays, not with N².
@@ -89,14 +95,14 @@ def itemknn_train(store: SessionStore, n_items: int, lam: float = 20.0, k: int =
     # product, then sqrt: the same bits as sqrt(outer(n, n)) element-wise
     sim = c / (np.sqrt(n[row] * n[col]) + lam)
 
-    kk = min(k, n_items - 1) if n_items > 1 else 0
-    neighbor_index = np.full((n_items, max(kk, 1)), -1, dtype=np.int64)
-    neighbor_sim = np.zeros((n_items, max(kk, 1)))
+    width = neighbor_width(n_items, k)
+    neighbor_index = np.full((n_items, width), -1, dtype=np.int64)
+    neighbor_sim = np.zeros((n_items, width))
     # every stored pair co-occurs at least once and lam is finite, so sim > 0
     order = np.lexsort((col, -sim, row))
     row, col, sim = row[order], col[order], sim[order]
     rank = np.arange(len(row)) - np.searchsorted(row, row)  # position within its row
-    keep = rank < kk
+    keep = rank < width
     neighbor_index[row[keep], rank[keep]] = col[keep]
     neighbor_sim[row[keep], rank[keep]] = sim[keep]
     return ItemKnnModel(n_items, neighbor_index, neighbor_sim, lam, k)

@@ -10,6 +10,7 @@ The ``train`` flags are generated from the fields of :class:`HyperParams`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import os
@@ -210,10 +211,14 @@ def cmd_evaluate(args) -> int:
         mf = modelio.load_model_file(f)
     test, _ = _load_store(args.test, vocab=mf.vocab)
     scorer = _scorer_for(mf)
-    report = run_evaluation(
-        scorer, test, k=args.cutoff, prefilter_n=args.prefilter,
-        popularity=mf.vocab.popularity,
-    )
+    try:
+        report = run_evaluation(
+            scorer, test, k=args.cutoff, prefilter_n=args.prefilter,
+            popularity=mf.vocab.popularity,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if report.n_cases == 0:
         print("error: no evaluable cases in the test set", file=sys.stderr)
         return 1
@@ -235,29 +240,31 @@ def cmd_recommend(args) -> int:
     with open(args.model, "rb") as f:
         mf = modelio.load_model_file(f)
     scorer = _scorer_for(mf)
-    for line in args.infile:
-        known = []
-        for tok in line.split():
-            idx = mf.vocab.index.get(tok)
-            if idx is None:
-                if args.strict:
-                    print(f"error: unknown item id {tok!r}", file=sys.stderr)
-                    return 1
-                print(f"warning: skipping unknown item id {tok!r}", file=sys.stderr)
+    with (contextlib.nullcontext(sys.stdin) if args.infile == "-"
+          else open(args.infile, encoding="utf-8")) as lines:
+        for line in lines:
+            known = []
+            for tok in line.split():
+                idx = mf.vocab.index.get(tok)
+                if idx is None:
+                    if args.strict:
+                        print(f"error: unknown item id {tok!r}", file=sys.stderr)
+                        return 1
+                    print(f"warning: skipping unknown item id {tok!r}", file=sys.stderr)
+                    continue
+                known.append(idx)
+            if not known:
+                print()
                 continue
-            known.append(idx)
-        if not known:
-            print()
-            continue
-        scorer.reset()
-        for idx in known:
-            scorer.feed(idx)
-        scores = scorer.scores()
-        fields = []
-        for i in top_k(scores, k):
-            fields.append(mf.vocab.items[i])
-            fields.append(f"{scores[i]:.6g}")
-        print("\t".join(fields))
+            scorer.reset()
+            for idx in known:
+                scorer.feed(idx)
+            scores = scorer.scores()
+            fields = []
+            for i in top_k(scores, k):
+                fields.append(mf.vocab.items[i])
+                fields.append(f"{scores[i]:.6g}")
+            print("\t".join(fields))
     return 0
 
 
@@ -326,8 +333,7 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--topk", type=int, default=20)
     p.add_argument("--strict", action="store_true",
                    help="fail on unknown item ids instead of skipping")
-    p.add_argument("infile", nargs="?", type=argparse.FileType("r"),
-                   default=sys.stdin)
+    p.add_argument("infile", nargs="?", default="-")
     p.set_defaults(func=cmd_recommend)
     return parser
 

@@ -23,7 +23,7 @@ from .baselines import (
     spop_score,
 )
 from .data import MiniBatch, SessionStore
-from .gru import HiddenState, NetworkParams, apply_input_discounted, forward_step, score_all
+from .gru import HiddenState, NetworkParams, discounted_input, forward_step, score_all
 
 __all__ = [
     "EvalReport",
@@ -56,9 +56,15 @@ class EvalReport:
 
 
 def rank_of(scores: np.ndarray, target: int) -> int:
-    """1-based rank of the target under descending score, pessimistic on ties."""
+    """1-based rank of the target under descending score, pessimistic on ties.
+
+    A NaN score on another item ranks below every number, as in
+    :func:`top_k`; a NaN target score raises ValueError.
+    """
     scores = np.asarray(scores)
     t = scores[target]
+    if t != t:
+        raise ValueError(f"the score of target {target} is NaN")
     higher = int(np.count_nonzero(scores > t))
     equal = int(np.count_nonzero(scores == t)) - 1
     return 1 + higher + equal
@@ -95,27 +101,18 @@ class GruScorer(SessionScorer):
         self.reset()
 
     def reset(self) -> None:
-        self._h = HiddenState.zeros(
-            self.params.hyper.n_layers, 1, self.params.hyper.hidden_size
-        )
-        self._prefix: list[int] = []
+        self._h = HiddenState.zeros(self.params, 1)
 
     def feed(self, item: int) -> None:
-        self._prefix.append(item)
         batch = MiniBatch(
             inputs=np.array([item]),
             targets=np.array([0]),
             reset_mask=np.array([False]),
             prev_lanes=np.array([0]),
         )
-        vec = None
-        if self.params.hyper.input_mode == "discounted_sum":
-            vec = apply_input_discounted(
-                self._prefix, self.params.hyper.input_decay, self.params.n_items
-            )[None, :]
         _, self._h, _ = forward_step(
             self.params, batch, self._h, sampled_columns=np.empty(0, dtype=np.intp),
-            training=False, input_vectors=vec,
+            input_vectors=discounted_input(self._h, batch, self.params.hyper.input_decay),
         )
 
     def scores(self) -> np.ndarray:
@@ -219,7 +216,8 @@ def evaluate(
     With ``prefilter_n`` set, the target is ranked only against the that
     many most popular training items (the target itself always included),
     which is how very large catalogs are evaluated in practice. It must be
-    at least 1; ties in popularity go to the lower item index.
+    at least 1; ties in popularity go to the lower item index. A NaN score
+    for a target raises ValueError naming its session (see :func:`rank_of`).
     """
     candidates: np.ndarray | None = None
     if prefilter_n is not None:
@@ -236,14 +234,18 @@ def evaluate(
         for t in range(len(sess) - 1):
             scores = scorer.step(int(sess.items[t]))
             target = int(sess.items[t + 1])
+            ranked, pos = scores, target
             if candidates is not None:
                 cand = candidates
                 if target not in cand:
                     cand = np.append(cand, target)
-                sub = scores[cand]
-                rank = rank_of(sub, int(np.flatnonzero(cand == target)[0]))
-            else:
-                rank = rank_of(scores, target)
+                ranked, pos = scores[cand], int(np.flatnonzero(cand == target)[0])
+            try:
+                rank = rank_of(ranked, pos)
+            except ValueError as exc:
+                raise ValueError(
+                    f"test session {sess.session_id!r}, next item {target}: {exc}"
+                ) from None
             hit = rank <= k
             rr = 1.0 / rank if hit else 0.0
             hits += hit

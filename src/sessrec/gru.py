@@ -32,11 +32,12 @@ __all__ = [
     "ForwardCache",
     "Gradients",
     "hyper_field_types",
+    "param_shapes",
     "init_network",
+    "discounted_input",
     "forward_step",
     "backward_step",
     "score_all",
-    "apply_input_discounted",
 ]
 
 INPUT_MODES = ("one_hot", "discounted_sum")
@@ -174,14 +175,25 @@ class NetworkParams:
 
 
 class HiddenState:
-    """Per-layer hidden activations, one row per active session lane."""
+    """Per-layer hidden activations, one row per active session lane.
 
-    def __init__(self, layers: list[np.ndarray]):
+    In discounted-sum input mode ``acc`` holds each lane's input accumulator,
+    one row of item weights per lane (see :func:`discounted_input`); it is
+    None in 1-of-N mode.
+    """
+
+    def __init__(self, layers: list[np.ndarray], acc: np.ndarray | None = None):
         self.layers = layers
+        self.acc = acc
 
     @classmethod
-    def zeros(cls, n_layers: int, width: int, hidden: int) -> "HiddenState":
-        return cls([np.zeros((width, hidden)) for _ in range(n_layers)])
+    def zeros(cls, params: NetworkParams, width: int) -> "HiddenState":
+        """The state of ``width`` lanes that have seen no event."""
+        hyper = params.hyper
+        acc = None
+        if hyper.input_mode == "discounted_sum":
+            acc = np.zeros((width, params.n_items))
+        return cls([np.zeros((width, hyper.hidden_size)) for _ in range(hyper.n_layers)], acc)
 
     @property
     def width(self) -> int:
@@ -189,33 +201,39 @@ class HiddenState:
 
     def reorder(self, prev_lanes: np.ndarray) -> "HiddenState":
         """Realign lane rows after the batcher replaced or dropped lanes."""
-        return HiddenState([h[prev_lanes] for h in self.layers])
+        acc = None if self.acc is None else self.acc[prev_lanes]
+        return HiddenState([h[prev_lanes] for h in self.layers], acc)
+
+
+def param_shapes(n_items: int, hyper: HyperParams) -> dict[str, tuple[int, int]]:
+    """Name and shape of every parameter, in :meth:`NetworkParams.named_params`
+    order; biases are 1-row matrices, as the model file stores them."""
+    h = hyper.hidden_size
+    shapes = {}
+    for i in range(hyper.n_layers):
+        in_dim = n_items if i == 0 else h + (n_items if hyper.deep_input else 0)
+        for nm in _LAYER_WEIGHTS:
+            shapes[f"layers.{i}.{nm}"] = (in_dim, h) if nm.startswith("W") else (h, h)
+        if hyper.use_bias:
+            shapes.update({f"layers.{i}.{nm}": (1, h) for nm in _LAYER_BIASES})
+    shapes["W_out"] = (n_items, h)
+    if hyper.use_bias:
+        shapes["b_out"] = (1, n_items)
+    return shapes
 
 
 def init_network(n_items: int, hyper: HyperParams) -> NetworkParams:
-    """Seeded network initialization; same hyperparameters give the same net."""
+    """Seeded network initialization; same hyperparameters give the same net.
+
+    Weights are drawn in :func:`param_shapes` order; biases start at zero.
+    """
     rng = make_rng(hyper.seed)
-    h = hyper.hidden_size
-    layers = []
-    for i in range(hyper.n_layers):
-        if i == 0:
-            in_dim = n_items
-        else:
-            in_dim = h + (n_items if hyper.deep_input else 0)
-        def w(r, c):
-            return uniform_init(r, c, rng, scale=hyper.init_scale)
-        lp = GruLayerParams(
-            W_z=w(in_dim, h), W_r=w(in_dim, h), W=w(in_dim, h),
-            U_z=w(h, h), U_r=w(h, h), U=w(h, h),
-        )
-        if hyper.use_bias:
-            lp.b_z = np.zeros(h)
-            lp.b_r = np.zeros(h)
-            lp.b = np.zeros(h)
-        layers.append(lp)
-    W_out = uniform_init(n_items, h, rng, scale=hyper.init_scale)
-    b_out = np.zeros(n_items) if hyper.use_bias else None
-    return NetworkParams(n_items, layers, W_out, b_out, hyper)
+    named = {
+        name: np.zeros(shape) if name.rsplit(".", 1)[-1].startswith("b")
+        else uniform_init(*shape, rng, scale=hyper.init_scale)
+        for name, shape in param_shapes(n_items, hyper).items()
+    }
+    return NetworkParams.from_named(n_items, hyper, named)
 
 
 @dataclass
@@ -273,39 +291,31 @@ def _check_in_vocab(idx: np.ndarray, n_items: int, what: str) -> None:
         raise IndexError(f"{what} out of vocabulary: {bad[0]}")
 
 
-def _input_feed(
-    lp: GruLayerParams,
-    layer_idx: int,
-    items: np.ndarray,
-    input_vectors: np.ndarray | None,
-    lower: np.ndarray | None,
-    deep_input: bool,
-    hidden: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W_z/W_r/W contributions of the layer input for a whole batch."""
-    feeds = []
-    for W in (lp.W_z, lp.W_r, lp.W):
-        if layer_idx == 0:
-            if input_vectors is not None:
-                f = input_vectors @ W
-            else:
-                f = W[items]  # 1-of-N input: plain row lookup
-        else:
-            f = lower @ W[:hidden]
-            if deep_input:
-                if input_vectors is not None:
-                    f = f + input_vectors @ W[hidden:]
-                else:
-                    f = f + W[hidden + items]
-        feeds.append(f)
-    return feeds[0], feeds[1], feeds[2]
+def discounted_input(h: HiddenState, batch: MiniBatch, decay: float) -> np.ndarray | None:
+    """Advance each lane's discounted-sum accumulator by the batch's event and
+    return its rows scaled to unit norm, the input that :func:`forward_step`
+    takes in that mode.
+
+    A lane flagged in ``batch.reset_mask`` starts from zero, every weight is
+    multiplied by ``decay`` and the input item's weight grows by 1, so the
+    event ``k`` steps back weighs ``decay**k`` and repeats add up. Training
+    and serving both build the input here, so they feed the same bits. A
+    state without an accumulator (1-of-N input) gives None.
+    """
+    acc = h.acc
+    if acc is None:
+        return None
+    acc[batch.reset_mask] = 0.0
+    acc *= decay
+    acc[np.arange(batch.width), batch.inputs] += 1.0
+    return acc / np.linalg.norm(acc, axis=1, keepdims=True)
 
 
 def forward_step(
     params: NetworkParams,
     batch: MiniBatch,
     h: HiddenState,
-    sampled_columns: np.ndarray | None = None,
+    sampled_columns: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
     input_vectors: np.ndarray | None = None,
@@ -315,26 +325,29 @@ def forward_step(
     Hidden rows flagged in ``batch.reset_mask`` are zeroed (all layers)
     before stepping. Scores are ``tanh(h_last . W_out[cols].T)``; the
     pre-activation scores are kept on the returned cache for losses that
-    consume linear scores. With ``sampled_columns=None`` the full vocabulary
-    is scored.
+    consume linear scores. :func:`score_all` scores the full vocabulary.
 
-    ``input_vectors`` carries the normalized discounted-sum input rows and
-    is required in that mode; in 1-of-N mode the batch's item indices are
-    used directly as row lookups.
+    ``input_vectors`` carries the unit-norm discounted-sum input rows (see
+    :func:`discounted_input`) and is required in that mode; in 1-of-N mode
+    the batch's item indices are used directly as row lookups. The returned
+    state keeps ``h``'s accumulator.
     """
     hyper = params.hyper
     items = np.asarray(batch.inputs, dtype=np.intp)
     _check_in_vocab(items, params.n_items, "input item index")
-    if sampled_columns is None:
-        cols = np.arange(params.n_items, dtype=np.intp)
-    else:
-        cols = np.asarray(sampled_columns, dtype=np.intp)
-        _check_in_vocab(cols, params.n_items, "sampled column")
+    cols = np.asarray(sampled_columns, dtype=np.intp)
+    _check_in_vocab(cols, params.n_items, "sampled column")
     if hyper.input_mode == "discounted_sum":
         if input_vectors is None:
             raise ValueError("discounted_sum input mode requires input_vectors")
+
+        def item_feed(W):
+            return input_vectors @ W
     else:
         input_vectors = None
+
+        def item_feed(W):
+            return W[items]  # 1-of-N input: plain row lookup
     if training and hyper.dropout_rate > 0.0 and rng is None:
         raise ValueError("training with dropout requires an rng")
 
@@ -344,9 +357,19 @@ def forward_step(
     for li, lp in enumerate(params.layers):
         h_prev = h.layers[li].copy()
         h_prev[batch.reset_mask] = 0.0
-        f_z, f_r, f_c = _input_feed(
-            lp, li, items, input_vectors, lower, hyper.deep_input, lp.hidden_size
-        )
+        # W_z/W_r/W contributions of the layer input: the items for the first
+        # layer; the lower layer's output, then the items if deep, above it
+        hdim = lp.hidden_size
+        feeds = []
+        for W in (lp.W_z, lp.W_r, lp.W):
+            if li == 0:
+                f = item_feed(W)
+            else:
+                f = lower @ W[:hdim]
+                if hyper.deep_input:
+                    f = f + item_feed(W[hdim:])
+            feeds.append(f)
+        f_z, f_r, f_c = feeds
         if lp.b_z is not None:
             f_z = f_z + lp.b_z
             f_r = f_r + lp.b_r
@@ -366,7 +389,7 @@ def forward_step(
         linear = linear + params.b_out[cols]
     cache.linear_scores = linear
     cache.scores = np.tanh(linear)
-    return cache.scores, HiddenState(new_layers), cache
+    return cache.scores, HiddenState(new_layers, h.acc), cache
 
 
 def backward_step(
@@ -470,22 +493,3 @@ def score_all(params: NetworkParams, h_lane: np.ndarray) -> np.ndarray:
     if params.b_out is not None:
         s = s + params.b_out
     return np.tanh(s)
-
-
-def apply_input_discounted(
-    session_prefix, decay: float, n_items: int
-) -> np.ndarray:
-    """Discounted weighted-sum input vector over a session prefix.
-
-    The event ``k`` steps in the past gets weight ``decay**k``; weights of
-    duplicate items add up and the vector is scaled to unit Euclidean norm.
-    """
-    prefix = np.asarray(session_prefix, dtype=np.intp)
-    if prefix.size == 0:
-        raise ValueError("session prefix must be non-empty")
-    if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay out of (0, 1]: {decay}")
-    v = np.zeros(n_items)
-    weights = decay ** np.arange(len(prefix) - 1, -1, -1, dtype=np.float64)
-    np.add.at(v, prefix, weights)
-    return v / np.linalg.norm(v)

@@ -23,9 +23,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .baselines import BprMfModel, ItemKnnModel
+from .baselines import BprMfModel, ItemKnnModel, neighbor_width
 from .data import ItemVocab
-from .gru import HyperParams, NetworkParams, hyper_field_types
+from .gru import HyperParams, NetworkParams, hyper_field_types, param_shapes
 
 __all__ = ["ModelFile", "ModelFormatError", "save_model_file", "load_model_file",
            "gru_to_file", "gru_from_file", "itemknn_to_file", "itemknn_from_file",
@@ -55,7 +55,10 @@ def _write_str(f: BinaryIO, s: str) -> None:
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
-    b = f.read(n)
+    try:
+        b = f.read(n)
+    except (OverflowError, MemoryError):  # a corrupt length no buffer can hold
+        b = b""
     if len(b) != n:
         raise ModelFormatError(f"truncated model file: wanted {n} bytes, got {len(b)}")
     return b
@@ -63,7 +66,10 @@ def _read_exact(f: BinaryIO, n: int) -> bytes:
 
 def _read_str(f: BinaryIO) -> str:
     (n,) = struct.unpack("<I", _read_exact(f, 4))
-    return _read_exact(f, n).decode("utf-8")
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"string in model file is not UTF-8: {exc}") from None
 
 
 def save_model_file(mf: ModelFile, f: BinaryIO) -> None:
@@ -100,8 +106,13 @@ def load_model_file(f: BinaryIO) -> ModelFile:
         raise ModelFormatError(f"unknown model kind: {kind}")
     (n_items,) = struct.unpack("<I", _read_exact(f, 4))
     items = [_read_str(f) for _ in range(n_items)]
-    pop = np.frombuffer(_read_exact(f, 8 * n_items), dtype="<u8").astype(np.int64)
-    vocab = ItemVocab(items, pop)
+    pop = np.frombuffer(_read_exact(f, 8 * n_items), dtype="<i8").astype(np.int64)
+    if (pop < 0).any():  # written as u64, so a count of 2**63 or more
+        raise ModelFormatError("popularity count out of range in model file")
+    try:
+        vocab = ItemVocab(items, pop)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad vocabulary in model file: {exc}") from None
     (n_pairs,) = struct.unpack("<I", _read_exact(f, 4))
     hyper = {}
     for _ in range(n_pairs):
@@ -114,38 +125,57 @@ def load_model_file(f: BinaryIO) -> ModelFile:
         rows, cols = struct.unpack("<II", _read_exact(f, 8))
         data = np.frombuffer(_read_exact(f, 8 * rows * cols), dtype="<f8")
         matrices[name] = data.reshape(rows, cols).copy()
+    if f.read(1):
+        raise ModelFormatError("model file has bytes after its last matrix")
     return ModelFile(kind, vocab, hyper, matrices)
 
 
 # --- conversions between model objects and the container ---
 
 
-def _hyper_value(text: str, typ: type, optional: bool):
+def _hyper_value(kv: dict[str, str], name: str, typ: type, optional: bool = False):
+    """The hyper block's ``name`` read as a ``typ``; ``""`` is None if optional."""
+    if name not in kv:
+        raise ModelFormatError(f"hyper block lacks {name!r}")
+    text = kv[name]
     if optional and text == "":
         return None
-    if typ is bool:
-        if text not in ("True", "False"):
-            raise ValueError(text)
-        return text == "True"
-    return typ(text)
+    try:
+        if typ is bool:
+            if text not in ("True", "False"):
+                raise ValueError(text)
+            return text == "True"
+        return typ(text)
+    except ValueError:
+        raise ModelFormatError(f"hyper {name} = {text!r} is not a {typ.__name__}") from None
 
 
 def _hyper_from_kv(kv: dict[str, str]) -> HyperParams:
     """Every HyperParams field from the hyper block, read by the field's type."""
-    values = {}
-    for name, (typ, optional) in hyper_field_types().items():
-        if name not in kv:
-            raise ModelFormatError(f"hyper block lacks {name!r}")
-        try:
-            values[name] = _hyper_value(kv[name], typ, optional)
-        except ValueError:
-            raise ModelFormatError(
-                f"hyper {name} = {kv[name]!r} is not a {typ.__name__}"
-            ) from None
+    values = {name: _hyper_value(kv, name, typ, optional)
+              for name, (typ, optional) in hyper_field_types().items()}
     try:
         return HyperParams(**values)
     except ValueError as exc:
         raise ModelFormatError(f"bad hyperparameters in model file: {exc}") from exc
+
+
+def _checked_matrices(mf: ModelFile, shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+    """``mf``'s matrices, which must be exactly those named in ``shapes``,
+    each of its shape and with finite values only."""
+    for name in mf.matrices:
+        if name not in shapes:
+            raise ModelFormatError(f"unexpected matrix {name!r} in {mf.kind} model file")
+    for name, (rows, cols) in shapes.items():
+        m = mf.matrices.get(name)
+        if m is None:
+            raise ModelFormatError(f"{mf.kind} model file lacks matrix {name!r}")
+        if m.shape != (rows, cols):
+            raise ModelFormatError(
+                f"matrix {name} is {m.shape[0]}x{m.shape[1]}, expected {rows}x{cols}")
+        if not np.isfinite(m).all():
+            raise ModelFormatError(f"matrix {name} holds a non-finite value")
+    return mf.matrices
 
 
 def gru_to_file(params: NetworkParams, vocab: ItemVocab) -> ModelFile:
@@ -158,7 +188,11 @@ def gru_to_file(params: NetworkParams, vocab: ItemVocab) -> ModelFile:
 
 
 def gru_from_file(mf: ModelFile) -> NetworkParams:
-    return NetworkParams.from_named(len(mf.vocab), _hyper_from_kv(mf.hyper), mf.matrices)
+    n_items, hyper = len(mf.vocab), _hyper_from_kv(mf.hyper)
+    if hyper.n_layers > len(mf.matrices):  # before listing the layers' shapes
+        raise ModelFormatError(f"{len(mf.matrices)} matrices cannot hold {hyper.n_layers} layers")
+    matrices = _checked_matrices(mf, param_shapes(n_items, hyper))
+    return NetworkParams.from_named(n_items, hyper, matrices)
 
 
 def itemknn_to_file(model: ItemKnnModel, vocab: ItemVocab) -> ModelFile:
@@ -175,13 +209,17 @@ def itemknn_to_file(model: ItemKnnModel, vocab: ItemVocab) -> ModelFile:
 
 
 def itemknn_from_file(mf: ModelFile) -> ItemKnnModel:
-    return ItemKnnModel(
-        n_items=len(mf.vocab),
-        neighbor_index=mf.matrices["neighbor_index"].astype(np.int64),
-        neighbor_sim=mf.matrices["neighbor_sim"],
-        lam=float(mf.hyper["lambda"]),
-        k=int(mf.hyper["k"]),
-    )
+    n_items = len(mf.vocab)
+    lam, k = _hyper_value(mf.hyper, "lambda", float), _hyper_value(mf.hyper, "k", int)
+    if k < 1 or not (np.isfinite(lam) and lam >= 0):
+        raise ModelFormatError(f"bad Item-KNN parameters in model file: k={k}, lambda={lam}")
+    width = neighbor_width(n_items, k)
+    matrices = _checked_matrices(mf, {"neighbor_index": (n_items, width),
+                                      "neighbor_sim": (n_items, width)})
+    index = matrices["neighbor_index"]
+    if np.any((index != np.floor(index)) | (index < -1) | (index >= n_items)):
+        raise ModelFormatError("neighbor_index holds a value that is neither an item nor -1")
+    return ItemKnnModel(n_items, index.astype(np.int64), matrices["neighbor_sim"], lam, k)
 
 
 def bprmf_to_file(model: BprMfModel, vocab: ItemVocab, hyper: dict[str, str] | None = None) -> ModelFile:
@@ -189,7 +227,9 @@ def bprmf_to_file(model: BprMfModel, vocab: ItemVocab, hyper: dict[str, str] | N
 
 
 def bprmf_from_file(mf: ModelFile) -> BprMfModel:
-    return BprMfModel(mf.matrices["factors"])
+    """The factors must have a row per item; their width is the model's."""
+    d = mf.matrices["factors"].shape[1] if "factors" in mf.matrices else 1
+    return BprMfModel(_checked_matrices(mf, {"factors": (len(mf.vocab), max(d, 1))})["factors"])
 
 
 def baseline_to_file(kind: str, vocab: ItemVocab) -> ModelFile:

@@ -7,7 +7,8 @@ import logging
 import numpy as np
 
 from .data import ItemVocab, SessionStore, SessionBatcher
-from .gru import HiddenState, HyperParams, NetworkParams, forward_step, backward_step, init_network
+from .gru import (HiddenState, HyperParams, NetworkParams, backward_step, discounted_input,
+                  forward_step, init_network)
 from .linalg import make_rng
 from .losses import LOSSES, negatives_mask
 from .optim import OptimState, adagrad_update, rmsprop_update
@@ -50,33 +51,17 @@ def train_gru(
             rmsprop_update(param_map[name], grad, states[name], hyper.learning_rate,
                            decay=hyper.rmsprop_decay, momentum=hyper.momentum, rows=rows)
 
-    discounted = hyper.input_mode == "discounted_sum"
     for epoch in range(hyper.epochs):
         batcher = SessionBatcher(store, hyper.batch_width)
-        h = HiddenState.zeros(hyper.n_layers, 0, hyper.hidden_size)
-        acc = np.zeros((0, n_items)) if discounted else None
+        h = HiddenState.zeros(params, hyper.batch_width)
         total_loss = 0.0
         n_batches = 0
         for step, batch in enumerate(batcher):
-            if h.width == 0:
-                h = HiddenState.zeros(hyper.n_layers, batch.width, hyper.hidden_size)
-                if discounted:
-                    acc = np.zeros((batch.width, n_items))
-            elif batch.width != h.width:
+            if batch.width != h.width:
                 h = h.reorder(batch.prev_lanes)
-                if discounted:
-                    acc = acc[batch.prev_lanes]
-            input_vectors = None
-            if discounted:
-                acc[batch.reset_mask] = 0.0
-                acc *= hyper.input_decay
-                acc[np.arange(batch.width), batch.inputs] += 1.0
-                norms = np.linalg.norm(acc, axis=1, keepdims=True)
-                input_vectors = acc / norms
-
             scores, h, cache = forward_step(
-                params, batch, h, sampled_columns=batch.targets,
-                training=True, rng=rng, input_vectors=input_vectors,
+                params, batch, h, sampled_columns=batch.targets, training=True, rng=rng,
+                input_vectors=discounted_input(h, batch, hyper.input_decay),
             )
             if batch.width < 2:
                 continue  # no negatives available

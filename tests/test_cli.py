@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from sessrec.cli import main
 from sessrec.data import read_events_csv
+from sessrec.evaluate import PopScorer
 from sessrec.gru import HyperParams
 from sessrec.modelio import gru_from_file, load_model_file, save_model_file
 
@@ -544,3 +546,73 @@ class TestEvaluateAndRecommend:
             ["recommend", "--model", str(model), "--strict", str(query)], capsys
         )
         assert code == 1 and "unknown item" in err
+
+    @pytest.mark.parametrize("edit", ["drop W_out", "one row of W_out", "NaN in U"])
+    def test_bad_matrix_exits_1(self, edit, prepared, tmp_path, capsys):
+        train, test = prepared
+        model = tmp_path / "gru.bin"
+        assert main(["train", "--data", str(train), "--model", str(model),
+                     "--epochs", "0", "--hidden", "4"]) == 0
+        with open(model, "rb") as f:
+            mf = load_model_file(f)
+        if edit == "drop W_out":
+            del mf.matrices["W_out"]
+        elif edit == "one row of W_out":
+            mf.matrices["W_out"] = mf.matrices["W_out"][:1]
+        else:
+            mf.matrices["layers.0.U"][1, 2] = np.nan
+        with open(model, "wb") as f:
+            save_model_file(mf, f)
+        query = tmp_path / "q.txt"
+        query.write_text(mf.vocab.items[0] + "\n")
+        capsys.readouterr()
+        for argv in (["evaluate", "--test", str(test)], ["recommend", str(query)]):
+            code, out, err = run(argv + ["--model", str(model)], capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nan_target_score_exits_1(self, prepared, tmp_path, capsys, monkeypatch):
+        import sessrec.cli as cli
+
+        class NanScorer(PopScorer):
+            def scores(self):
+                return np.full(len(super().scores()), np.nan)
+
+        train, test = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        monkeypatch.setattr(cli, "_scorer_for", lambda mf: NanScorer(mf.vocab))
+        capsys.readouterr()
+        code, out, err = run(["evaluate", "--model", str(model), "--test", str(test)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: test session ") and "is NaN" in err
+        assert err.count("\n") == 1
+
+    def test_recommend_reads_stdin_and_leaves_it_open(self, prepared, tmp_path, capsys,
+                                                     monkeypatch):
+        train, _ = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        query = tmp_path / "q.txt"
+        query.write_text("prod1\nprod2 prod3\n")
+        capsys.readouterr()
+        _, want, _ = run(["recommend", "--model", str(model), str(query)], capsys)
+        for argv in ([], ["-"]):
+            stdin = io.StringIO(query.read_text())
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, _ = run(["recommend", "--model", str(model), *argv], capsys)
+            assert code == 0 and out == want and len(out.splitlines()) == 2
+            assert not stdin.closed
+
+    def test_recommend_missing_input_exits_1(self, prepared, tmp_path, capsys):
+        train, _ = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            ["recommend", "--model", str(model), str(tmp_path / "nope.txt")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,10 @@ from sessrec.evaluate import EvalReport, GruScorer, PopScorer, evaluate, rank_of
 from sessrec.gru import HyperParams, init_network
 
 from conftest import store_from_lists
+
+# the package re-exports the evaluate() function under the submodule's name
+evaluation = importlib.import_module("sessrec.evaluate")
+training = importlib.import_module("sessrec.training")
 
 
 class FixedScorer:
@@ -59,7 +65,22 @@ class TestRankOf:
             assert got == 1 + order.index(target) or True  # sort view, sanity only
 
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError, match="target 1 is NaN"):
+            rank_of(np.array([0.1, np.nan, 0.5]), 1)
+
+    def test_nan_elsewhere_ranks_below_every_number(self):
+        scores = np.array([np.nan, -np.inf, np.nan, 0.5, np.nan])
+        assert rank_of(scores, 1) == 2
+        assert rank_of(scores, 3) == 1
+
+
 class TestEvaluate:
+    def test_nan_target_score_names_the_session(self):
+        store, _ = store_from_lists([[0, 1], [2, 1, 0]])
+        with pytest.raises(ValueError, match="session 's00000', next item 1: .*NaN"):
+            evaluate(FixedScorer(np.full(3, np.nan)), store, k=5)
+
     def test_perfect_scorer(self):
         store, _ = store_from_lists([[0, 1, 2], [2, 0]])
         succ = {0: 1, 1: 2, 2: 0}
@@ -188,3 +209,48 @@ class TestLazyScoring:
             lazy.feed(item)
         got = lazy.step(prefix[-1])
         assert got.tobytes() == want.tobytes()
+
+
+class TestTrainServeInput:
+    @pytest.mark.parametrize("decay", [0.8, 1.0])
+    @pytest.mark.parametrize("layers", [{}, {"n_layers": 2, "deep_input": True}],
+                             ids=["1_layer", "2_layers_deep_input"])
+    def test_training_and_serving_feed_the_same_input_bits(self, decay, layers, rng,
+                                                          monkeypatch):
+        n_items = 40
+        sessions = [list(rng.integers(0, n_items, int(rng.integers(2, 16))))
+                    for _ in range(40)]
+        store, vocab = store_from_lists(sessions, n_items=n_items)
+        hyper = HyperParams(hidden_size=4, batch_width=6, epochs=1, seed=1,
+                            input_mode="discounted_sum", input_decay=decay, **layers)
+
+        def spy(module, record):
+            real = module.forward_step
+
+            def forward_step(*args, **kwargs):
+                record.append((args[1], kwargs["input_vectors"].copy()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "forward_step", forward_step)
+
+        trained = []
+        spy(training, trained)
+        params = training.train_gru(store, vocab, hyper)
+        served = []
+        spy(evaluation, served)
+        # follow each lane's session prefix through resets and reorders, and
+        # feed that prefix to a serving scorer
+        prefixes: list[list[int]] = []
+        n_checked = 0
+        for batch, rows in trained:
+            prefixes = [[] if batch.reset_mask[k] else prefixes[batch.prev_lanes[k]]
+                        for k in range(batch.width)]
+            for k in range(batch.width):
+                prefixes[k] = prefixes[k] + [int(batch.inputs[k])]
+                scorer = GruScorer(params)
+                for item in prefixes[k]:
+                    scorer.feed(item)
+                assert served[-1][1].shape == (1, n_items)
+                assert served[-1][1][0].tobytes() == rows[k].tobytes(), prefixes[k]
+                n_checked += 1
+        assert n_checked == store.n_events - len(store)

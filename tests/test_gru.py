@@ -10,8 +10,8 @@ from sessrec.gru import (
     HiddenState,
     HyperParams,
     NetworkParams,
-    apply_input_discounted,
     backward_step,
+    discounted_input,
     forward_step,
     init_network,
     score_all,
@@ -113,14 +113,14 @@ class TestForwardStep:
     def test_zero_output_matrix_gives_zero_scores(self):
         self.params.W_out[:] = 0.0
         batch = make_batch([1, 2, 3], [4, 5, 6])
-        h = HiddenState.zeros(1, 3, 6)
+        h = HiddenState.zeros(self.params, 3)
         scores, _, _ = forward_step(self.params, batch, h, batch.targets)
         np.testing.assert_array_equal(scores, 0.0)
 
     def test_reset_equals_fresh_state(self, rng):
         batch = make_batch([1, 2, 3], [4, 5, 6], reset=[True, True, True])
         dirty = HiddenState([rng.standard_normal((3, 6))])
-        fresh = HiddenState.zeros(1, 3, 6)
+        fresh = HiddenState.zeros(self.params, 3)
         s1, h1, _ = forward_step(self.params, batch, dirty, batch.targets)
         batch2 = make_batch([1, 2, 3], [4, 5, 6])
         s2, h2, _ = forward_step(self.params, batch2, fresh, batch2.targets)
@@ -129,7 +129,7 @@ class TestForwardStep:
 
     def test_dropout_zero_training_equals_inference(self):
         batch = make_batch([0, 1, 2], [3, 4, 5])
-        h = HiddenState.zeros(1, 3, 6)
+        h = HiddenState.zeros(self.params, 3)
         s_train, _, _ = forward_step(
             self.params, batch, h, batch.targets, training=True, rng=make_rng(0)
         )
@@ -152,7 +152,7 @@ class TestForwardStep:
 
     def test_sampled_column_out_of_vocab_rejected(self):
         batch = make_batch([0], [0])
-        h = HiddenState.zeros(1, 1, 6)
+        h = HiddenState.zeros(self.params, 1)
         for cols in ([10], [-1], [3, -10]):
             with pytest.raises(IndexError):
                 forward_step(self.params, batch, h, np.array(cols))
@@ -175,7 +175,7 @@ class TestBackwardStep:
         hyper = HyperParams(hidden_size=4, dropout_rate=0.0, seed=2)
         params = init_network(6, hyper)
         batch = make_batch([0, 1], [2, 3])
-        h = HiddenState.zeros(1, 2, 4)
+        h = HiddenState.zeros(params, 2)
         _, _, cache = forward_step(params, batch, h, batch.targets)
         grads = backward_step(params, cache, np.zeros((2, 2)))
         for g in grads.values():
@@ -252,33 +252,75 @@ class TestBackwardStep:
                 )
 
 
+def closed_form_input(prefix, decay, n_items):
+    """Oracle: the event ``k`` steps in the past weighs ``decay**k``, weights of
+    duplicate items add up, and the vector is scaled to unit Euclidean norm."""
+    v = np.zeros(n_items)
+    weights = decay ** np.arange(len(prefix) - 1, -1, -1, dtype=np.float64)
+    np.add.at(v, np.asarray(prefix, dtype=np.intp), weights)
+    return v / np.linalg.norm(v)
+
+
+def shared_input(prefix, decay, n_items):
+    """discounted_input's row after feeding ``prefix`` to one fresh lane."""
+    h = HiddenState([np.zeros((1, 1))], np.zeros((1, n_items)))
+    for item in prefix:
+        v = discounted_input(h, make_batch([item], [0]), decay)
+    return v[0]
+
+
 class TestDiscountedInput:
     def test_single_event_is_one_hot(self):
-        v = apply_input_discounted([3], 0.5, 6)
+        v = shared_input([3], 0.5, 6)
         expected = np.zeros(6)
         expected[3] = 1.0
         np.testing.assert_array_equal(v, expected)
 
     def test_two_events_decay_one(self):
-        v = apply_input_discounted([0, 1], 1.0, 3)
+        v = shared_input([0, 1], 1.0, 3)
         np.testing.assert_allclose(v[:2], 1 / math.sqrt(2))
         assert v[2] == 0.0
 
     def test_duplicate_accumulation_hand_computed(self):
         # prefix [a, b, a], decay 0.5: a gets 0.25 + 1, b gets 0.5
-        v = apply_input_discounted([0, 1, 0], 0.5, 4)
+        v = shared_input([0, 1, 0], 0.5, 4)
         norm = math.sqrt(1.25**2 + 0.5**2)
         np.testing.assert_allclose(v, [1.25 / norm, 0.5 / norm, 0.0, 0.0])
 
     def test_unit_norm(self, rng):
-        for _ in range(10):
-            prefix = rng.integers(0, 5, int(rng.integers(1, 9)))
-            v = apply_input_discounted(prefix, 0.8, 5)
+        for _ in range(50):
+            prefix = rng.integers(0, 5, int(rng.integers(1, 30)))
+            v = shared_input(prefix, 0.8, 5)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(v, closed_form_input(prefix, 0.8, 5), rtol=1e-13)
 
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            apply_input_discounted([], 0.5, 4)
+    def test_lanes_reset_and_reorder_independently(self, rng):
+        # three lanes over changing sessions; each row must be the closed form
+        # of its own lane's prefix since the lane's last reset
+        n_items, decay = 7, 0.6
+        h = HiddenState([np.zeros((3, 1))], np.zeros((3, n_items)))
+        prefixes = [[], [], []]
+        for step in range(40):
+            width = 3 if step < 30 else 2
+            prev = rng.permutation(3)[:width] if width != h.width else np.arange(width)
+            if width != h.width:
+                h = h.reorder(prev)
+            reset = rng.random(width) < 0.2 if step else np.ones(width, bool)
+            inputs = rng.integers(0, n_items, width)
+            prefixes = [[] if reset[k] else prefixes[prev[k]] for k in range(width)]
+            for k in range(width):
+                prefixes[k] = prefixes[k] + [int(inputs[k])]
+            batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
+            rows = discounted_input(h, batch, decay)
+            for k in range(width):
+                np.testing.assert_allclose(
+                    rows[k], closed_form_input(prefixes[k], decay, n_items), rtol=1e-13)
+
+    def test_one_hot_state_has_no_input_rows(self):
+        params = init_network(5, HyperParams(hidden_size=3, seed=1))
+        h = HiddenState.zeros(params, 2)
+        assert h.acc is None
+        assert discounted_input(h, make_batch([0, 1], [1, 2]), 0.5) is None
 
 
 class TestDeterminism:
