@@ -1,7 +1,7 @@
 """Non-neural recommenders: POP, S-POP, Item-KNN and BPR-MF.
 
-All of them produce a score vector over the full item vocabulary so they
-plug into the same evaluation harness as the network.
+This module fits them; the scorers in :mod:`sessrec.evaluate` serve them
+over the full item vocabulary, in the same evaluation harness as the network.
 """
 
 from __future__ import annotations
@@ -16,36 +16,18 @@ from .linalg import make_rng, sigmoid
 
 __all__ = [
     "pop_score",
-    "spop_score",
     "ItemKnnModel",
     "neighbor_width",
     "itemknn_train",
     "itemknn_score",
     "BprMfModel",
     "bprmf_train",
-    "bprmf_score_session",
 ]
 
 
 def pop_score(vocab: ItemVocab) -> np.ndarray:
     """Static scores: the training event count of each item."""
     return vocab.popularity.astype(np.float64)
-
-
-def spop_score(session_prefix, vocab: ItemVocab) -> np.ndarray:
-    """Session popularity with global popularity as tiebreak.
-
-    Within-prefix counts dominate; the global popularity enters as a
-    fraction strictly below one, so items absent from the prefix always
-    rank below present ones, ordered among themselves by global counts.
-    """
-    prefix = np.asarray(session_prefix, dtype=np.intp)
-    if prefix.size == 0:
-        raise ValueError("session prefix must be non-empty")
-    counts = np.zeros(len(vocab))
-    np.add.at(counts, prefix, 1.0)
-    tiebreak = vocab.popularity / (vocab.popularity.sum() + 1.0)
-    return counts + tiebreak
 
 
 @dataclass
@@ -108,14 +90,16 @@ def itemknn_train(store: SessionStore, n_items: int, lam: float = 20.0, k: int =
     return ItemKnnModel(n_items, neighbor_index, neighbor_sim, lam, k)
 
 
-def itemknn_score(model: ItemKnnModel, current_item: int) -> np.ndarray:
-    """Similarity row of the last clicked item, zero outside the top-K list."""
-    if not 0 <= current_item < model.n_items:
-        raise IndexError(f"item {current_item} outside vocabulary of {model.n_items}")
-    scores = np.zeros(model.n_items)
-    idx = model.neighbor_index[current_item]
-    valid = idx >= 0
-    scores[idx[valid]] = model.neighbor_sim[current_item][valid]
+def itemknn_score(model: ItemKnnModel, items: np.ndarray) -> np.ndarray:
+    """Similarity rows of a 1-D array of items, zero outside each top-K list:
+    shape (len(items), n_items)."""
+    bad = items[(items < 0) | (items >= model.n_items)]
+    if bad.size:
+        raise IndexError(f"item {bad[0]} outside vocabulary of {model.n_items}")
+    idx = model.neighbor_index[items]
+    row, rank = np.nonzero(idx >= 0)
+    scores = np.zeros((len(items), model.n_items))
+    scores[row, idx[row, rank]] = model.neighbor_sim[items[row], rank]
     return scores
 
 
@@ -170,12 +154,3 @@ def bprmf_train(
                 du = g * (fi - fj) / len(prefix)
                 np.add.at(f, prefix, lr * (du - reg * f[prefix]))
     return BprMfModel(f)
-
-
-def bprmf_score_session(model: BprMfModel, session_prefix) -> np.ndarray:
-    """Dot product of the prefix-average factor with every item factor."""
-    prefix = np.asarray(session_prefix, dtype=np.intp)
-    if prefix.size == 0:
-        raise ValueError("session prefix must be non-empty")
-    u = model.factors[prefix].mean(axis=0)
-    return model.factors @ u

@@ -110,9 +110,15 @@ class SessionStore:
     def n_pairs(self) -> int:
         return sum(len(s) - 1 for s in self.sessions)
 
+    def order(self) -> list[int]:
+        """Indices into ``sessions`` in iteration order: start time ascending,
+        id as tiebreak."""
+        s = self.sessions
+        return sorted(range(len(s)), key=lambda i: (s[i].start_time, s[i].session_id))
+
     def ordered(self) -> list[Session]:
-        """Sessions in iteration order: start time ascending, id as tiebreak."""
-        return sorted(self.sessions, key=lambda s: (s.start_time, s.session_id))
+        """Sessions in iteration order (see :meth:`order`)."""
+        return [self.sessions[i] for i in self.order()]
 
 
 @dataclass
@@ -121,13 +127,17 @@ class MiniBatch:
 
     ``prev_lanes[k]`` names the lane of the previous batch whose hidden row
     lane ``k`` continues; rows flagged in ``reset_mask`` are zeroed before
-    stepping, so their mapping is immaterial.
+    stepping, so their mapping is immaterial. A :class:`SessionBatcher` also
+    says which case each lane holds: the index of its session in the store's
+    ``sessions`` list and the position of its input event in that session.
     """
 
     inputs: np.ndarray  # item indices, shape (B,)
     targets: np.ndarray  # item indices, shape (B,)
     reset_mask: np.ndarray  # bool, shape (B,)
     prev_lanes: np.ndarray  # int, shape (B,)
+    sessions: np.ndarray | None = None  # int, shape (B,)
+    positions: np.ndarray | None = None  # int, shape (B,)
 
     @property
     def width(self) -> int:
@@ -311,9 +321,10 @@ class SessionBatcher:
     def __init__(self, store: SessionStore, batch_width: int):
         if batch_width < 1:
             raise ValueError(f"batch width must be >= 1, got {batch_width}")
-        self._order = [s for s in store.ordered() if len(s) >= 2]
+        self._sessions = store.sessions
+        self._order = [i for i in store.order() if len(self._sessions[i]) >= 2]
         self._next_session = 0
-        self._lanes: list[Session] = []
+        self._lanes: list[int] = []  # index into store.sessions per lane
         self._pos: list[int] = []  # index of the current input event per lane
         self._fresh: list[bool] = []
         while len(self._lanes) < batch_width and self._next_session < len(self._order):
@@ -327,13 +338,13 @@ class SessionBatcher:
 
     def __next__(self) -> MiniBatch:
         # Replace or drop lanes whose session has no remaining pair.
-        lanes: list[Session] = []
+        lanes: list[int] = []
         pos: list[int] = []
         fresh: list[bool] = []
         prev_lanes: list[int] = []
-        for k, sess in enumerate(self._lanes):
-            if self._pos[k] + 1 < len(sess):
-                lanes.append(sess)
+        for k, s in enumerate(self._lanes):
+            if self._pos[k] + 1 < len(self._sessions[s]):
+                lanes.append(s)
                 pos.append(self._pos[k])
                 fresh.append(self._fresh[k])
                 prev_lanes.append(k)
@@ -347,13 +358,16 @@ class SessionBatcher:
             raise StopIteration
         self._lanes, self._pos = lanes, pos
 
-        inputs = np.array([s.items[p] for s, p in zip(lanes, pos)], dtype=np.int64)
-        targets = np.array([s.items[p + 1] for s, p in zip(lanes, pos)], dtype=np.int64)
+        items = [self._sessions[s].items for s in lanes]
+        inputs = np.array([it[p] for it, p in zip(items, pos)], dtype=np.int64)
+        targets = np.array([it[p + 1] for it, p in zip(items, pos)], dtype=np.int64)
         batch = MiniBatch(
             inputs=inputs,
             targets=targets,
             reset_mask=np.array(fresh, dtype=bool),
             prev_lanes=np.array(prev_lanes, dtype=np.int64),
+            sessions=np.array(lanes, dtype=np.int64),
+            positions=np.array(pos, dtype=np.int64),
         )
         self._pos = [p + 1 for p in self._pos]
         self._fresh = [False] * len(lanes)

@@ -488,8 +488,9 @@ def backward_step(
 
 
 def score_all(params: NetworkParams, h_lane: np.ndarray) -> np.ndarray:
-    """Scores over the full vocabulary for one lane's top-layer hidden row."""
+    """Scores over the full vocabulary for one lane's top-layer hidden row, or
+    a row of them for each row of a (width, hidden) matrix of lanes."""
     s = np.asarray(h_lane, dtype=np.float64) @ params.W_out.T
     if params.b_out is not None:
-        s = s + params.b_out
-    return np.tanh(s)
+        s += params.b_out
+    return np.tanh(s, out=s)

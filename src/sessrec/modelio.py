@@ -227,9 +227,18 @@ def bprmf_to_file(model: BprMfModel, vocab: ItemVocab, hyper: dict[str, str] | N
 
 
 def bprmf_from_file(mf: ModelFile) -> BprMfModel:
-    """The factors must have a row per item; their width is the model's."""
+    """The factors must have a row per item; their width is the model's.
+
+    Twice the largest squared row norm must be finite: by Cauchy-Schwarz it
+    bounds every score of a prefix mean, so no score overflows.
+    """
     d = mf.matrices["factors"].shape[1] if "factors" in mf.matrices else 1
-    return BprMfModel(_checked_matrices(mf, {"factors": (len(mf.vocab), max(d, 1))})["factors"])
+    factors = _checked_matrices(mf, {"factors": (len(mf.vocab), max(d, 1))})["factors"]
+    with np.errstate(over="ignore"):
+        bound = 2.0 * np.einsum("ij,ij->i", factors, factors).max(initial=0.0)
+    if not np.isfinite(bound):
+        raise ModelFormatError("matrix factors is too large: session scores would overflow")
+    return BprMfModel(factors)
 
 
 def baseline_to_file(kind: str, vocab: ItemVocab) -> ModelFile:

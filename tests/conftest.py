@@ -22,6 +22,31 @@ def store_from_lists(session_items, n_items=None):
     return SessionStore(sessions), vocab
 
 
+def fed(scorer, prefix):
+    """A scorer's scores after a new session of ``prefix``, fed one event at a time."""
+    scorer.reset()
+    for item in prefix:
+        scorer.feed(int(item))
+    return scorer.scores()
+
+
+def spop_prefix_scores(prefix, vocab):
+    """S-POP by its definition: each item's count in the prefix plus its
+    global popularity as a fraction strictly below one."""
+    counts = np.zeros(len(vocab))
+    np.add.at(counts, np.asarray(prefix, dtype=np.intp), 1.0)
+    return counts + vocab.popularity / (vocab.popularity.sum() + 1.0)
+
+
+def bprmf_prefix_scores(model, prefix):
+    """BPR-MF by its definition: the mean of the prefix's item factors,
+    summed left to right, dotted with every item factor."""
+    total = np.zeros(model.factors.shape[1])
+    for item in prefix:
+        total += model.factors[item]
+    return (total / len(prefix)) @ model.factors.T
+
+
 def dense_grads(params, grads):
     """backward_step's gradients scattered into full parameter shapes."""
     shapes = {name: p.shape for name, p in params.named_params()}

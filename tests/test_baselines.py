@@ -6,17 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from sessrec.baselines import (
-    bprmf_score_session,
-    bprmf_train,
-    itemknn_score,
-    itemknn_train,
-    pop_score,
-    spop_score,
-)
-from sessrec.evaluate import rank_of
+from sessrec.baselines import BprMfModel, bprmf_train, itemknn_score, itemknn_train, pop_score
+from sessrec.evaluate import BprMfScorer, SpopScorer, rank_of
 
-from conftest import store_from_lists
+from conftest import bprmf_prefix_scores, fed, spop_prefix_scores, store_from_lists
 
 
 class TestPop:
@@ -37,25 +30,25 @@ class TestPop:
 class TestSpop:
     def test_prefix_counts_dominate(self):
         store, vocab = store_from_lists([[0, 1, 0, 2], [1, 2], [1, 2]])
-        scores = spop_score([0, 1, 0], vocab)
+        scores = fed(SpopScorer(vocab), [0, 1, 0])
         assert rank_of(scores, 0) == 1
         assert rank_of(scores, 1) == 2
 
     def test_tie_broken_by_global_popularity(self):
         store, vocab = store_from_lists([[1, 1, 2], [1, 2]])  # pop(1)=3 > pop(2)=2
-        scores = spop_score([2, 1], vocab)
+        scores = fed(SpopScorer(vocab), [2, 1])
         assert scores[1] > scores[2]
 
     def test_absent_items_below_present(self):
         store, vocab = store_from_lists([[0, 1, 2, 2, 2]])
-        scores = spop_score([0], vocab)
+        scores = fed(SpopScorer(vocab), [0])
         assert scores[0] > scores[2] > scores[1]  # 2 most popular among absent
 
     def test_full_ordering_matches_two_key_sort(self, rng):
         sessions = [list(rng.integers(0, 12, 6)) for _ in range(15)]
         store, vocab = store_from_lists(sessions, n_items=12)
         prefix = list(rng.integers(0, 12, 7))
-        scores = spop_score(prefix, vocab)
+        scores = fed(SpopScorer(vocab), prefix)
         counts = np.bincount(prefix, minlength=12)
         oracle = sorted(
             range(12), key=lambda i: (-counts[i], -vocab.popularity[i], i)
@@ -67,14 +60,26 @@ class TestSpop:
         store, vocab = store_from_lists([[0, 1, 2, 3]])
         prefix = [0, 1, 1, 2]
         perm = [1, 2, 0, 1]
-        np.testing.assert_array_equal(
-            spop_score(prefix, vocab), spop_score(perm, vocab)
-        )
+        scorer = SpopScorer(vocab)
+        np.testing.assert_array_equal(fed(scorer, prefix), fed(scorer, perm))
+
+    def test_scorer_equals_prefix_definition(self, rng):
+        sessions = [list(rng.integers(0, 30, 6)) for _ in range(20)]
+        store, vocab = store_from_lists(sessions, n_items=30)
+        scorer = SpopScorer(vocab)
+        for length in [1, 2, 7, 8, 9, 25]:
+            prefix = rng.integers(0, 30, length)
+            want = spop_prefix_scores(prefix, vocab)
+            assert fed(scorer, prefix).tobytes() == want.tobytes()
 
     def test_empty_prefix_rejected(self):
         store, vocab = store_from_lists([[0, 1]])
+        scorer = SpopScorer(vocab)
         with pytest.raises(ValueError):
-            spop_score([], vocab)
+            scorer.scores()
+        fed(scorer, [1])
+        with pytest.raises(ValueError):
+            fed(scorer, [])
 
 
 def brute_force_sim(sessions, n_items, lam, rows=None):
@@ -144,12 +149,12 @@ class TestItemKnn:
         sessions = [[0, 1], [0, 1], [0, 1]]
         store, _ = store_from_lists(sessions)
         model = itemknn_train(store, 2, lam=0.0, k=2)
-        assert itemknn_score(model, 0)[1] == pytest.approx(1.0)
+        assert itemknn_score(model, np.array([0]))[0, 1] == pytest.approx(1.0)
 
     def test_never_cooccurring_is_zero(self):
         store, _ = store_from_lists([[0, 1], [2, 3]])
         model = itemknn_train(store, 4, lam=0.0, k=4)
-        assert itemknn_score(model, 0)[2] == 0.0
+        assert itemknn_score(model, np.array([0]))[0, 2] == 0.0
 
     def test_matches_brute_force_exactly(self, rng):
         sessions = [
@@ -160,14 +165,13 @@ class TestItemKnn:
         store, _ = store_from_lists(sessions, n_items=50)
         model = itemknn_train(store, 50, lam=20.0, k=50)
         oracle = brute_force_sim(sessions, 50, 20.0)
-        for i in range(50):
-            np.testing.assert_array_equal(itemknn_score(model, i), oracle[i])
+        np.testing.assert_array_equal(itemknn_score(model, np.arange(50)), oracle)
 
     def test_similarity_symmetric(self, rng):
         sessions = [list(rng.integers(0, 10, 4)) for _ in range(15)]
         store, _ = store_from_lists(sessions, n_items=10)
         model = itemknn_train(store, 10, lam=5.0, k=10)
-        full = np.array([itemknn_score(model, i) for i in range(10)])
+        full = itemknn_score(model, np.arange(10))
         np.testing.assert_array_equal(full, full.T)
 
     def test_lambda_monotone_damping(self, rng):
@@ -175,20 +179,19 @@ class TestItemKnn:
         store, _ = store_from_lists(sessions, n_items=8)
         low = itemknn_train(store, 8, lam=1.0, k=8)
         high = itemknn_train(store, 8, lam=30.0, k=8)
-        for i in range(8):
-            assert np.all(itemknn_score(high, i) <= itemknn_score(low, i))
+        items = np.arange(8)
+        assert np.all(itemknn_score(high, items) <= itemknn_score(low, items))
 
     def test_no_self_similarity(self, rng):
         store, _ = store_from_lists([[0, 1, 0], [0, 2]])
         model = itemknn_train(store, 3, lam=0.0, k=3)
-        for i in range(3):
-            assert itemknn_score(model, i)[i] == 0.0
+        assert np.all(np.diag(itemknn_score(model, np.arange(3))) == 0.0)
 
     def test_unseen_item_rejected(self):
         store, _ = store_from_lists([[0, 1]])
         model = itemknn_train(store, 2)
         with pytest.raises(IndexError):
-            itemknn_score(model, 5)
+            itemknn_score(model, np.array([5]))
 
     @settings(max_examples=300, deadline=None)
     @given(corpus=corpora, lam=st.sampled_from([0.0, 0.5, 1.0, 3.0, 20.0]),
@@ -244,19 +247,14 @@ class TestItemKnn:
 
 class TestBprMf:
     def test_equal_factors_tie(self):
-        store, _ = store_from_lists([[0, 1], [1, 2]])
-        from sessrec.baselines import BprMfModel
-
         model = BprMfModel(np.ones((3, 1)))
-        scores = bprmf_score_session(model, [0])
+        scores = fed(BprMfScorer(model), [0])
         assert np.all(scores == scores[0])
 
     def test_single_item_prefix_is_dot_product(self, rng):
-        from sessrec.baselines import BprMfModel
-
         f = rng.standard_normal((5, 3))
         model = BprMfModel(f)
-        np.testing.assert_allclose(bprmf_score_session(model, [2]), f @ f[2])
+        np.testing.assert_allclose(fed(BprMfScorer(model), [2]), f @ f[2])
 
     def test_two_cluster_separation(self, rng):
         # items 0-4 co-occur only with each other, likewise 5-9
@@ -267,21 +265,35 @@ class TestBprMf:
             sessions.append(list(base + rng.integers(0, 5, 3)))
         store, _ = store_from_lists(sessions, n_items=10)
         model = bprmf_train(store, 10, d=8, epochs=8, lr=0.1, seed=3)
+        scorer = BprMfScorer(model)
         within, across = [], []
         for i in range(10):
-            scores = bprmf_score_session(model, [i])
+            scores = fed(scorer, [i])
             same = [j for j in range(10) if j != i and j // 5 == i // 5]
             other = [j for j in range(10) if j // 5 != i // 5]
             within.append(scores[same].mean())
             across.append(scores[other].mean())
         assert np.mean(within) > np.mean(across)
 
-    def test_empty_prefix_rejected(self):
-        from sessrec.baselines import BprMfModel
+    # d = 1 as well: numpy's mean(axis=0) of an (L, 1) array sums pairwise
+    # from L = 8 on, which left-to-right prefix sums do not reproduce
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    def test_scorer_equals_prefix_definition(self, d, rng):
+        model = BprMfModel(rng.uniform(-0.05, 0.05, size=(40, d)))
+        scorer = BprMfScorer(model)
+        for length in [1, 2, 7, 8, 9, 17, 40]:
+            prefix = rng.integers(0, 40, length)
+            want = bprmf_prefix_scores(model, prefix)
+            assert fed(scorer, prefix).tobytes() == want.tobytes()
 
+    def test_empty_prefix_rejected(self):
         model = BprMfModel(np.ones((3, 2)))
+        scorer = BprMfScorer(model)
         with pytest.raises(ValueError):
-            bprmf_score_session(model, [])
+            scorer.scores()
+        fed(scorer, [1])
+        with pytest.raises(ValueError):
+            fed(scorer, [])
 
     def test_deterministic_given_seed(self):
         store, _ = store_from_lists([[0, 1, 2], [2, 3], [1, 3]])

@@ -11,6 +11,8 @@ from sessrec.evaluate import PopScorer
 from sessrec.gru import HyperParams
 from sessrec.modelio import gru_from_file, load_model_file, save_model_file
 
+from conftest import bprmf_prefix_scores, spop_prefix_scores
+
 DAY = 86_400_000
 
 
@@ -417,17 +419,23 @@ class TestEvaluateAndRecommend:
             items, scores = fields[0::2], [float(x) for x in fields[1::2]]
             assert len(items) == 5
             assert scores == sorted(scores, reverse=True)
-            # oracle: score after every event, keep the last, full lexsort
+            # oracle: score after every event, keep the last, full lexsort;
+            # S-POP and BPR-MF score the prefix by their definitions
             scorer = _scorer_for(mf)
+            reference = {
+                "spop": lambda prefix: spop_prefix_scores(prefix, mf.vocab),
+                "bprmf": lambda prefix: bprmf_prefix_scores(scorer.model, prefix),
+            }.get(kind)
             want_out, want_err = [], []
             for line in lines:
                 scorer.reset()
-                vec = None
+                vec, prefix = None, []
                 for tok in line.split():
                     if tok not in mf.vocab.index:
                         want_err.append(f"warning: skipping unknown item id {tok!r}")
                         continue
-                    vec = scorer.step(mf.vocab.index[tok])
+                    prefix.append(mf.vocab.index[tok])
+                    vec = reference(prefix) if reference else scorer.step(prefix[-1])
                 if vec is None:
                     want_out.append("")
                     continue
@@ -571,12 +579,35 @@ class TestEvaluateAndRecommend:
             assert code == 1 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_huge_bprmf_factor_exits_1(self, prepared, tmp_path, capsys):
+        train, test = prepared
+        model = tmp_path / "bprmf.bin"
+        assert main(["baseline", "--kind", "bprmf", "--data", str(train), "--model", str(model),
+                     "--epochs", "1"]) == 0
+        with open(model, "rb") as f:
+            mf = load_model_file(f)
+        factors = mf.matrices["factors"]
+        raw = bytearray(factors[1, 2].tobytes())
+        raw[7] ^= 0x40  # the top exponent bit: about 0.05 becomes about 1e306, still finite
+        factors[1, 2] = np.frombuffer(bytes(raw))[0]
+        assert np.isfinite(factors).all() and abs(factors[1, 2]) > 1e300
+        with open(model, "wb") as f:
+            save_model_file(mf, f)
+        query = tmp_path / "q.txt"
+        query.write_text(" ".join(mf.vocab.items[:3]) + "\n")
+        capsys.readouterr()
+        for argv in (["evaluate", "--test", str(test)], ["recommend", str(query)]):
+            code, out, err = run(argv + ["--model", str(model)], capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "factors is too large" in err
+            assert err.count("\n") == 1
+
     def test_nan_target_score_exits_1(self, prepared, tmp_path, capsys, monkeypatch):
         import sessrec.cli as cli
 
         class NanScorer(PopScorer):
-            def scores(self):
-                return np.full(len(super().scores()), np.nan)
+            def lane_scores(self):
+                return np.full(super().lane_scores().shape, np.nan)
 
         train, test = prepared
         model = tmp_path / "pop.bin"

@@ -1,45 +1,134 @@
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sessrec.evaluate import EvalReport, GruScorer, PopScorer, evaluate, rank_of, top_k
+from sessrec.baselines import bprmf_train, itemknn_train
+from sessrec.data import SessionStore
+from sessrec.evaluate import (BprMfScorer, EvalReport, GruScorer, ItemKnnScorer, PopScorer,
+                              SessionScorer, SpopScorer, evaluate, rank_of, top_k)
 from sessrec.gru import HyperParams, init_network
 
-from conftest import store_from_lists
+from conftest import bprmf_prefix_scores, spop_prefix_scores, store_from_lists
 
 # the package re-exports the evaluate() function under the submodule's name
 evaluation = importlib.import_module("sessrec.evaluate")
 training = importlib.import_module("sessrec.training")
 
 
-class FixedScorer:
+def evaluate_by_event(scorer, test, k=20, prefilter_n=None, popularity=None,
+                      track_positions=False):
+    """The per-event evaluator: one session at a time through a width-1
+    ``reset``/``step``, one ranked case per event, sums in case order.
+
+    :func:`evaluate` must return an equal report and raise the same errors.
+    """
+    candidates = None
+    if prefilter_n is not None:
+        if popularity is None:
+            raise ValueError("prefilter requires training popularity counts")
+        candidates = top_k(popularity, prefilter_n)
+
+    hits = 0
+    rr_sum = 0.0
+    n_cases = 0
+    pos_stats = {}
+    for sess in test:
+        scorer.reset()
+        for t in range(len(sess) - 1):
+            scores = scorer.step(int(sess.items[t]))
+            target = int(sess.items[t + 1])
+            ranked, pos = scores, target
+            if candidates is not None:
+                cand = candidates
+                if target not in cand:
+                    cand = np.append(cand, target)
+                ranked, pos = scores[cand], int(np.flatnonzero(cand == target)[0])
+            if ranked[pos] != ranked[pos]:
+                raise ValueError(f"test session {sess.session_id!r}, next item {target}: "
+                                 f"the score of target {pos} is NaN")
+            rank = int(np.count_nonzero(ranked > ranked[pos])
+                       + np.count_nonzero(ranked == ranked[pos]))
+            hit = rank <= k
+            rr = 1.0 / rank if hit else 0.0
+            hits += hit
+            rr_sum += rr
+            n_cases += 1
+            if track_positions:
+                st_ = pos_stats.setdefault(t, [0, 0.0, 0])
+                st_[0] += hit
+                st_[1] += rr
+                st_[2] += 1
+
+    if n_cases == 0:
+        return EvalReport(float("nan"), float("nan"), k, 0)
+    per_position = None
+    if track_positions:
+        per_position = {t: (h / n, r / n, n) for t, (h, r, n) in sorted(pos_stats.items())}
+    return EvalReport(hits / n_cases, rr_sum / n_cases, k, n_cases, per_position)
+
+
+class FixedScorer(SessionScorer):
     """Static score vector, ignores the session entirely."""
 
     def __init__(self, scores):
-        self.scores = np.asarray(scores, dtype=np.float64)
+        self.fixed = np.asarray(scores, dtype=np.float64)
+        self.width = 0
 
-    def reset(self):
-        pass
+    def advance(self, batch):
+        self.width = batch.width
 
-    def step(self, item):
-        return self.scores
+    def lane_scores(self):
+        return np.tile(self.fixed, (self.width, 1))
 
 
-class OracleScorer:
+class OracleScorer(SessionScorer):
     """Always ranks the item after the fed one first (needs the table)."""
 
     def __init__(self, successor, n_items):
         self.successor = successor
         self.n = n_items
+        self.last = np.empty(0, dtype=np.int64)
 
-    def reset(self):
-        pass
+    def advance(self, batch):
+        self.last = batch.inputs
 
-    def step(self, item):
-        scores = np.zeros(self.n)
-        scores[self.successor[item]] = 1.0
+    def lane_scores(self):
+        scores = np.zeros((len(self.last), self.n))
+        scores[np.arange(len(self.last)), [self.successor[int(i)] for i in self.last]] = 1.0
+        return scores
+
+
+class PooledScorer(SessionScorer):
+    """Scores drawn from a few pooled values by a hash of the lane's whole
+    prefix, so ties are common and a lane realigned wrongly shows."""
+
+    def __init__(self, values, n_items, seed, n_states=97):
+        rng = np.random.default_rng(seed)
+        self.table = rng.choice(np.asarray(values, dtype=np.float64), size=(n_states, n_items))
+        self.state = np.zeros(0, dtype=np.int64)
+
+    def advance(self, batch):
+        state = np.zeros(batch.width, dtype=np.int64)
+        keep = ~batch.reset_mask
+        state[keep] = self.state[batch.prev_lanes[keep]]
+        self.state = (state * 31 + batch.inputs + 1) % len(self.table)
+
+    def lane_scores(self):
+        return self.table[self.state]
+
+
+class NanAfterScorer(OracleScorer):
+    """Zero scores, except NaN on the item that ``successor`` names for the
+    last item fed, where it names one."""
+
+    def lane_scores(self):
+        scores = np.zeros((len(self.last), self.n))
+        for lane, item in enumerate(self.last):
+            if int(item) in self.successor:
+                scores[lane, self.successor[int(item)]] = np.nan
         return scores
 
 
@@ -170,6 +259,101 @@ class TestEvaluate:
     def test_report_line_format(self):
         rep = EvalReport(0.5, 0.25, 20, 100)
         assert rep.line() == "recall@20=0.500000\tmrr@20=0.250000\tn_cases=100"
+
+
+SCORER_KINDS = ("gru_one_hot", "gru_deep_discounted", "pop", "spop", "itemknn", "bprmf",
+                "bprmf_d1", "pooled")
+
+
+def make_scorer(kind, store, vocab, seed):
+    n = len(vocab)
+    if kind == "gru_one_hot":
+        return GruScorer(init_network(n, HyperParams(hidden_size=5, seed=seed)))
+    if kind == "gru_deep_discounted":
+        return GruScorer(init_network(n, HyperParams(
+            hidden_size=4, n_layers=2, deep_input=True, input_mode="discounted_sum",
+            input_decay=0.7, use_bias=True, seed=seed)))
+    if kind == "pop":
+        return PopScorer(vocab)
+    if kind == "spop":
+        return SpopScorer(vocab)
+    if kind == "itemknn":
+        return ItemKnnScorer(itemknn_train(store, n, lam=1.0, k=3))
+    if kind in ("bprmf", "bprmf_d1"):
+        d = 1 if kind == "bprmf_d1" else 3
+        return BprMfScorer(bprmf_train(store, n, d=d, epochs=1, seed=seed))
+    return PooledScorer([0.0, -0.0, 1.0, 0.5, -np.inf, np.nan], n, seed)
+
+
+class PrefixReference:
+    """A width-1 ``reset``/``step`` that scores every prefix from scratch."""
+
+    def __init__(self, score):
+        self._score = score
+
+    def reset(self):
+        self._prefix = []
+
+    def step(self, item):
+        self._prefix.append(item)
+        return self._score(self._prefix)
+
+
+def reference_for(kind, scorer, vocab):
+    """The per-event evaluator's scorer: S-POP and BPR-MF by their per-prefix
+    definitions, the others through their own width-1 ``step``."""
+    if kind == "spop":
+        return PrefixReference(lambda prefix: spop_prefix_scores(prefix, vocab))
+    if kind.startswith("bprmf"):
+        return PrefixReference(lambda prefix: bprmf_prefix_scores(scorer.model, prefix))
+    return scorer
+
+
+def outcome(run, *args, **kwargs):
+    """A run's report, or the message of the ValueError it raised."""
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestLanesEqualEvents:
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_report_equals_the_per_event_evaluator(self, data):
+        n_items = data.draw(st.integers(2, 12), label="n_items")
+        sessions = data.draw(st.lists(
+            st.lists(st.integers(0, n_items - 1), min_size=1, max_size=9),
+            min_size=1, max_size=90), label="sessions")
+        sessions[0] = sessions[0] + [0]  # at least one case
+        store, vocab = store_from_lists(sessions, n_items=n_items)
+        # iteration order (the case order) differs from the lanes' start-time order
+        order = data.draw(st.permutations(range(len(store))), label="order")
+        test = SessionStore([store.sessions[i] for i in order])
+        kind = data.draw(st.sampled_from(SCORER_KINDS), label="kind")
+        scorer = make_scorer(kind, store, vocab, data.draw(st.integers(0, 50), label="seed"))
+        prefilter_n = data.draw(st.sampled_from([None, 1, 2, n_items - 1, n_items]),
+                                label="prefilter_n")
+        kwargs = dict(k=data.draw(st.sampled_from([1, 2, 5, 20])),
+                      prefilter_n=prefilter_n, popularity=vocab.popularity,
+                      track_positions=data.draw(st.booleans(), label="track_positions"))
+        lanes = data.draw(st.sampled_from([1, 2, 5, evaluation.EVAL_LANES]), label="lanes")
+        with mock.patch.object(evaluation, "EVAL_LANES", lanes):
+            got = outcome(evaluate, scorer, test, **kwargs)
+        want = outcome(evaluate_by_event, reference_for(kind, scorer, vocab), test, **kwargs)
+        assert got == want
+
+    @pytest.mark.parametrize("prefilter_n", [None, 1, 4, 9])
+    def test_nan_error_names_the_first_case_in_case_order(self, prefilter_n):
+        # the lanes start with the shorter session, which meets its NaN at the
+        # first step; the longer one, first in case order, meets its at the fourth
+        store, vocab = store_from_lists([[6, 7], [0, 1, 2, 3, 4, 5]], n_items=9)
+        test = SessionStore(store.sessions[::-1])
+        scorer = NanAfterScorer({6: 7, 3: 4}, 9)
+        kwargs = dict(k=5, prefilter_n=prefilter_n, popularity=vocab.popularity)
+        want = outcome(evaluate_by_event, scorer, test, **kwargs)
+        assert want.startswith("ValueError: test session 's00001', next item 4: ")
+        assert outcome(evaluate, scorer, test, **kwargs) == want
 
 
 # few distinct values, so ties, signed zeros, infinities and NaN are common

@@ -259,8 +259,6 @@ class TestValidation:
             mf, _ = load_and_convert(raw)
         except ModelFormatError:
             return
-        # whatever loads gives a scorer with a score per vocabulary item; a
-        # flipped exponent may leave a huge finite value that overflows there
+        # whatever loads gives a scorer with a score per vocabulary item
         if len(mf.vocab):
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert _scorer_for(mf).step(0).shape == (len(mf.vocab),)
+            assert _scorer_for(mf).step(0).shape == (len(mf.vocab),)
