@@ -7,7 +7,6 @@ Recall@K / MRR@K protocol.
 """
 
 from .data import (
-    Event,
     ItemVocab,
     MiniBatch,
     SessionBatcher,
@@ -20,7 +19,6 @@ from .gru import HyperParams, NetworkParams, init_network
 from .training import TrainingDiverged, train_gru
 
 __all__ = [
-    "Event",
     "ItemVocab",
     "MiniBatch",
     "SessionBatcher",

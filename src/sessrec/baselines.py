@@ -63,11 +63,9 @@ def itemknn_train(store: SessionStore, n_items: int, lam: float = 20.0, k: int =
         raise ValueError(f"k must be at least 1, got {k}")
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    per_session = [sess.items for sess in store]
-    items = np.concatenate(per_session or [np.empty(0, dtype=np.int64)])
-    sessions = np.repeat(np.arange(len(per_session)), [len(s) for s in per_session])
+    sessions = np.repeat(np.arange(len(store)), np.diff(store.offsets))
     inc = sparse.csr_matrix(
-        (np.ones(len(items)), (sessions, items)), shape=(len(per_session), n_items)
+        (np.ones(store.n_events), (sessions, store.items)), shape=(len(store), n_items)
     )
     inc.data[:] = 1.0  # the constructor summed repeats; a session counts an item once
     co = (inc.T @ inc).tocoo()
@@ -138,9 +136,10 @@ def bprmf_train(
         raise ValueError(f"reg must be finite and >= 0, got {reg}")
     rng = make_rng(seed)
     f = rng.uniform(-0.05, 0.05, size=(n_items, d))
+    bounds = store.offsets.tolist()
     for _ in range(epochs):
-        for sess in store:
-            items = sess.items
+        for a, b in zip(bounds, bounds[1:]):
+            items = store.items[a:b]
             for t in range(1, len(items)):
                 prefix = items[:t]
                 i = items[t]

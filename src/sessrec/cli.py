@@ -105,8 +105,7 @@ def _load_store(path: str, max_len: int = data.DEFAULT_MAX_SESSION_LEN,
     to build a vocabulary from must hold a usable session."""
     with open(_data_path(path), encoding="utf-8", newline="") as f:
         events = data.read_events_csv(f, iso_time=iso_time)
-    store, store_vocab, dropped = data.index_sessions(
-        data.EventColumns.from_events(events), vocab, max_len)
+    store, store_vocab, dropped = data.index_sessions(events, vocab, max_len)
     if vocab is None and len(store) == 0:
         raise data.DataFormatError("no usable sessions in input")
     if dropped:
@@ -120,8 +119,7 @@ def cmd_prepare(args) -> int:
     if args.split_time is not None:
         boundary = args.split_time
     else:
-        last = max(s.times.max() for s in store)
-        boundary = int(last) - args.split_last_days * DAY_MS + 1
+        boundary = int(store.times.max()) - args.split_last_days * DAY_MS + 1
     train, train_vocab, test = data.split_train_test(store, vocab, boundary)
     if len(train) == 0 or len(test) == 0:
         print(f"error: empty partition (train={len(train)}, test={len(test)} sessions)",
@@ -204,9 +202,10 @@ def _scorer_for(mf: modelio.ModelFile) -> SessionScorer:
 
 
 def cmd_evaluate(args) -> int:
-    if args.prefilter is not None and args.prefilter < 1:
-        print(f"error: --prefilter must be at least 1, got {args.prefilter}", file=sys.stderr)
-        return 1
+    for flag, value in (("--cutoff", args.cutoff), ("--prefilter", args.prefilter)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return 1
     with open(args.model, "rb") as f:
         mf = modelio.load_model_file(f)
     test, _ = _load_store(args.test, vocab=mf.vocab)

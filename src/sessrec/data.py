@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 __all__ = [
-    "Event",
     "ItemVocab",
     "SessionStore",
     "MiniBatch",
@@ -35,22 +34,11 @@ CSV_HEADER = ("SessionId", "ItemId", "Time")
 
 DEFAULT_MAX_SESSION_LEN = 200
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class DataFormatError(ValueError):
     """Raised for malformed input records; carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class Event:
-    session_id: str
-    item_id: str
-    timestamp: int  # milliseconds since epoch
-
-    def __post_init__(self):
-        if not self.session_id or not self.item_id:
-            raise ValueError("session_id and item_id must be non-empty")
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp: {self.timestamp}")
 
 
 class ItemVocab:
@@ -78,47 +66,62 @@ class ItemVocab:
 
 @dataclass
 class Session:
+    """One session's events; ``len`` is its event count."""
+
     session_id: str
     items: np.ndarray  # item indices, int64
     times: np.ndarray  # per-event timestamps, int64
-
-    @property
-    def start_time(self) -> int:
-        return int(self.times[0])
 
     def __len__(self) -> int:
         return len(self.items)
 
 
 class SessionStore:
-    """Time-ordered sessions of item indices (relative to some ItemVocab)."""
+    """Sessions of item indices (relative to some ItemVocab) laid end to end
+    in the one iteration order: start time ascending, id as tiebreak.
 
-    def __init__(self, sessions: Sequence[Session]):
-        self.sessions: list[Session] = list(sessions)
+    Session ``k`` is ``session_ids[k]``; its events are
+    ``items[offsets[k]:offsets[k + 1]]`` at ``times[offsets[k]:offsets[k + 1]]``.
+    """
+
+    def __init__(self, sessions: Iterable[Session] = ()):
+        """Store non-empty sessions given in any order."""
+        sessions = sorted(sessions, key=lambda s: (int(s.times[0]), s.session_id))
+        self.session_ids: list[str] = [s.session_id for s in sessions]
+        self.offsets = np.cumsum([0] + [len(s) for s in sessions], dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        self.items = np.concatenate([empty] + [s.items for s in sessions], dtype=np.int64)
+        self.times = np.concatenate([empty] + [s.times for s in sessions], dtype=np.int64)
+
+    @classmethod
+    def _from_columns(cls, session_ids: list[str], offsets: np.ndarray, items: np.ndarray,
+                      times: np.ndarray) -> "SessionStore":
+        """A store of columns already in iteration order."""
+        store = cls()
+        store.session_ids, store.offsets, store.items, store.times = (
+            session_ids, offsets, items, times)
+        return store
 
     def __len__(self) -> int:
-        return len(self.sessions)
+        return len(self.session_ids)
 
     def __iter__(self) -> Iterator[Session]:
-        return iter(self.sessions)
+        """Each session as a view of the columns, in iteration order."""
+        bounds = self.offsets.tolist()
+        for sid, a, b in zip(self.session_ids, bounds, bounds[1:]):
+            yield Session(sid, self.items[a:b], self.times[a:b])
 
     @property
     def n_events(self) -> int:
-        return sum(len(s) for s in self.sessions)
+        return len(self.items)
 
     @property
     def n_pairs(self) -> int:
-        return sum(len(s) - 1 for s in self.sessions)
-
-    def order(self) -> list[int]:
-        """Indices into ``sessions`` in iteration order: start time ascending,
-        id as tiebreak."""
-        s = self.sessions
-        return sorted(range(len(s)), key=lambda i: (s[i].start_time, s[i].session_id))
+        return len(self.items) - len(self.session_ids)
 
     def ordered(self) -> list[Session]:
-        """Sessions in iteration order (see :meth:`order`)."""
-        return [self.sessions[i] for i in self.order()]
+        """The sessions in iteration order, as a list."""
+        return list(self)
 
 
 @dataclass
@@ -129,7 +132,7 @@ class MiniBatch:
     lane ``k`` continues; rows flagged in ``reset_mask`` are zeroed before
     stepping, so their mapping is immaterial. A :class:`SessionBatcher` also
     says which case each lane holds: the index of its session in the store's
-    ``sessions`` list and the position of its input event in that session.
+    iteration order and the position of its input event in that session.
     """
 
     inputs: np.ndarray  # item indices, shape (B,)
@@ -145,38 +148,23 @@ class MiniBatch:
 
 
 def _parse_time(text: str, iso: bool, line_no: int) -> int:
+    """Milliseconds since the epoch; a value that int64 cannot hold or that is
+    negative is an error naming its line."""
     try:
         if iso:
             dt = datetime.fromisoformat(text)
             if dt.tzinfo is None:
                 dt = dt.replace(tzinfo=timezone.utc)
-            return int(dt.timestamp() * 1000)
-        return int(text)
+            ms = int(dt.timestamp() * 1000)
+        else:
+            ms = int(text)
     except ValueError as exc:
         raise DataFormatError(f"line {line_no}: bad timestamp {text!r}") from exc
-
-
-def read_events_csv(source: TextIO | str, iso_time: bool = False) -> list[Event]:
-    """Parse the CSV schema into events; malformed rows name their line."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    events: list[Event] = []
-    header = next(reader, None)
-    if header is None:
-        return events
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise DataFormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
-        sid, item, t = (f.strip() for f in row)
-        if not sid or not item:
-            raise DataFormatError(f"line {line_no}: empty session or item id")
-        events.append(Event(sid, item, _parse_time(t, iso_time, line_no)))
-    return events
+    if ms > _INT64_MAX:
+        raise DataFormatError(f"line {line_no}: timestamp out of range {text!r}")
+    if ms < 0:
+        raise DataFormatError(f"line {line_no}: negative timestamp {text!r}")
+    return ms
 
 
 class EventColumns(NamedTuple):
@@ -190,18 +178,37 @@ class EventColumns(NamedTuple):
     item_ids: list[str]
     times: np.ndarray
 
-    @classmethod
-    def from_events(cls, events: Iterable[Event]) -> "EventColumns":
-        events = list(events)
-        session_code: dict[str, int] = {}
-        item_code: dict[str, int] = {}
-        sessions = [session_code.setdefault(e.session_id, len(session_code)) for e in events]
-        items = [item_code.setdefault(e.item_id, len(item_code)) for e in events]
-        return cls(
-            np.array(sessions, dtype=np.int64), list(session_code),
-            np.array(items, dtype=np.int64), list(item_code),
-            np.array([e.timestamp for e in events], dtype=np.int64),
-        )
+
+def read_events_csv(source: TextIO | str, iso_time: bool = False) -> EventColumns:
+    """Parse the CSV schema into columns, ids interned in order of first
+    appearance; malformed rows name their line."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    reader = csv.reader(source)
+    session_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    sessions: list[int] = []
+    items: list[int] = []
+    times: list[int] = []
+    header = next(reader, None)
+    if header is not None and tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DataFormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
+        sid, item, t = (f.strip() for f in row)
+        if not sid or not item:
+            raise DataFormatError(f"line {line_no}: empty session or item id")
+        times.append(_parse_time(t, iso_time, line_no))
+        sessions.append(session_code.setdefault(sid, len(session_code)))
+        items.append(item_code.setdefault(item, len(item_code)))
+    return EventColumns(
+        np.array(sessions, dtype=np.int64), list(session_code),
+        np.array(items, dtype=np.int64), list(item_code),
+        np.array(times, dtype=np.int64),
+    )
 
 
 def index_sessions(
@@ -213,28 +220,37 @@ def index_sessions(
 
     Events are sorted by timestamp within each session (stable on ties).
     Sessions shorter than two events are dropped, as are sessions longer
-    than ``max_session_len`` (a bot filter; None keeps every length). The
-    rest are ordered by start time, then id.
+    than ``max_session_len`` (a bot filter; None keeps every length). With
+    ``vocab``, items it does not know are dropped, then sessions left shorter
+    than two events. The rest are stored in the one iteration order: the
+    start time of their kept events, then id.
 
     Without ``vocab``, a vocabulary is built over the kept events, with
     indices assigned by first appearance in session order and popularity
-    counting the kept events. With ``vocab``, items it does not know are
-    dropped, then sessions left shorter than two events. Returns the store,
-    the vocabulary and the number of events dropped for an unknown item.
+    counting the kept events. Returns the store, the vocabulary and the
+    number of events dropped for an unknown item.
     """
-    sessions, times = events.sessions, events.times
+    sessions, codes, times = events.sessions, events.items, events.times
     n = len(events.session_ids)
     length = np.bincount(sessions, minlength=n)
     ok = length >= 2
     if max_session_len is not None:
         ok &= length <= max_session_len
+    keep = ok[sessions]
+    dropped = 0
+    if vocab is not None:
+        index = np.array([vocab.index.get(it, -1) for it in events.item_ids], dtype=np.int64)
+        known = index[codes] >= 0
+        dropped = int(np.count_nonzero(keep & ~known))
+        keep &= known
+        keep &= (np.bincount(sessions[keep], minlength=n) >= 2)[sessions]
     start = np.full(n, np.iinfo(np.int64).max)
-    np.minimum.at(start, sessions, times)
+    np.minimum.at(start, sessions[keep], times[keep])
     _, id_rank = np.unique(np.array(events.session_ids, dtype=object), return_inverse=True)
     # by start time, id, then time within the session; stable, so ties keep input order
     order = np.lexsort((times, sessions, id_rank[sessions], start[sessions]))
-    order = order[ok[sessions[order]]]
-    sessions, codes, times = sessions[order], events.items[order], times[order]
+    order = order[keep[order]]
+    sessions, codes, times = sessions[order], codes[order], times[order]
 
     if vocab is None:
         codes_seen, first = np.unique(codes, return_index=True)
@@ -243,30 +259,20 @@ def index_sessions(
         index[by_first] = np.arange(len(by_first))
         vocab = ItemVocab([events.item_ids[c] for c in by_first.tolist()],
                           np.bincount(index[codes], minlength=len(by_first)))
-    else:
-        index = np.array([vocab.index.get(it, -1) for it in events.item_ids], dtype=np.int64)
-    items = index[codes]
-    known = items >= 0
-    dropped = len(items) - int(known.sum())
-    if dropped:
-        keep = known & (np.bincount(sessions[known], minlength=n) >= 2)[sessions]
-        sessions, items, times = sessions[keep], items[keep], times[keep]
-    first = np.flatnonzero(np.diff(sessions, prepend=-1)).tolist()
-    store = SessionStore([
-        Session(events.session_ids[sessions[a]], items[a:b], times[a:b])
-        for a, b in zip(first, first[1:] + [len(sessions)])
-    ])
+    first = np.flatnonzero(np.diff(sessions, prepend=-1))
+    store = SessionStore._from_columns(
+        [events.session_ids[s] for s in sessions[first].tolist()],
+        np.append(first, len(sessions)), index[codes], times)
     return store, vocab, dropped
 
 
 def ingest_events(
-    events: Iterable[Event],
+    events: EventColumns,
     max_session_len: int = DEFAULT_MAX_SESSION_LEN,
 ) -> tuple[SessionStore, ItemVocab]:
     """Group events into sessions and build the item vocabulary
     (:func:`index_sessions` without a vocabulary)."""
-    store, vocab, _ = index_sessions(EventColumns.from_events(events),
-                                     max_session_len=max_session_len)
+    store, vocab, _ = index_sessions(events, max_session_len=max_session_len)
     return store, vocab
 
 
@@ -274,9 +280,9 @@ def write_sessions_csv(store: SessionStore, vocab: ItemVocab, out: TextIO) -> No
     """Serialize a store in canonical form: sessions in iteration order."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for sess in store.ordered():
-        for item_idx, t in zip(sess.items, sess.times):
-            writer.writerow([sess.session_id, vocab.items[item_idx], int(t)])
+    ids = np.repeat(np.arange(len(store)), np.diff(store.offsets)).tolist()
+    writer.writerows((store.session_ids[k], vocab.items[i], t)
+                     for k, i, t in zip(ids, store.items.tolist(), store.times.tolist()))
 
 
 def split_train_test(
@@ -291,19 +297,18 @@ def split_train_test(
     left shorter than two events are dropped.
     """
 
-    def columns(sessions: list[Session]) -> EventColumns:
-        empty = np.empty(0, dtype=np.int64)
+    def columns(a: int, b: int) -> EventColumns:
+        """Sessions ``a`` to ``b`` of the store, as events over ``vocab``."""
+        lo, hi = store.offsets[a], store.offsets[b]
         return EventColumns(
-            np.repeat(np.arange(len(sessions)), [len(s) for s in sessions]),
-            [s.session_id for s in sessions],
-            np.concatenate([empty, *(s.items for s in sessions)]), vocab.items,
-            np.concatenate([empty, *(s.times for s in sessions)]),
+            np.repeat(np.arange(b - a), np.diff(store.offsets[a:b + 1])),
+            store.session_ids[a:b], store.items[lo:hi], vocab.items, store.times[lo:hi],
         )
 
-    train_raw = [s for s in store.sessions if s.start_time < boundary]
-    test_raw = [s for s in store.sessions if s.start_time >= boundary]
-    train, train_vocab, _ = index_sessions(columns(train_raw), max_session_len=None)
-    test, _, _ = index_sessions(columns(test_raw), train_vocab, max_session_len=None)
+    # the store is ordered by start time, so the train sessions come first
+    cut = int(np.searchsorted(store.times[store.offsets[:-1]], boundary))
+    train, train_vocab, _ = index_sessions(columns(0, cut), max_session_len=None)
+    test, _, _ = index_sessions(columns(cut, len(store)), train_vocab, max_session_len=None)
     return train, train_vocab, test
 
 
@@ -315,60 +320,51 @@ class SessionBatcher:
     session takes its place (reset flagged); when no session is available
     the batch width shrinks. Lanes filled at the very start are flagged for
     reset as well, so "zero the state before this lane's first step" holds
-    uniformly.
+    uniformly. Sessions are taken in the store's iteration order; those of
+    fewer than two events are skipped.
     """
 
     def __init__(self, store: SessionStore, batch_width: int):
         if batch_width < 1:
             raise ValueError(f"batch width must be >= 1, got {batch_width}")
-        self._sessions = store.sessions
-        self._order = [i for i in store.order() if len(self._sessions[i]) >= 2]
-        self._next_session = 0
-        self._lanes: list[int] = []  # index into store.sessions per lane
-        self._pos: list[int] = []  # index of the current input event per lane
-        self._fresh: list[bool] = []
-        while len(self._lanes) < batch_width and self._next_session < len(self._order):
-            self._lanes.append(self._order[self._next_session])
-            self._pos.append(0)
-            self._fresh.append(True)
-            self._next_session += 1
+        self._items = store.items
+        self._start = store.offsets[:-1]
+        self._length = np.diff(store.offsets)
+        self._queue = np.flatnonzero(self._length >= 2)
+        # Per lane: its session and the position of its current input event,
+        # 0 on the lane's first step. These arrays go into the batches, so a
+        # step replaces them and never writes into them.
+        self._lanes = self._queue[:batch_width]
+        self._pos = np.zeros(len(self._lanes), dtype=np.int64)
+        self._next_session = len(self._lanes)
 
     def __iter__(self) -> Iterator[MiniBatch]:
         return self
 
     def __next__(self) -> MiniBatch:
-        # Replace or drop lanes whose session has no remaining pair.
-        lanes: list[int] = []
-        pos: list[int] = []
-        fresh: list[bool] = []
-        prev_lanes: list[int] = []
-        for k, s in enumerate(self._lanes):
-            if self._pos[k] + 1 < len(self._sessions[s]):
-                lanes.append(s)
-                pos.append(self._pos[k])
-                fresh.append(self._fresh[k])
-                prev_lanes.append(k)
-            elif self._next_session < len(self._order):
-                lanes.append(self._order[self._next_session])
-                self._next_session += 1
-                pos.append(0)
-                fresh.append(True)
-                prev_lanes.append(k)
-        if not lanes:
+        lanes, pos = self._lanes, self._pos
+        prev_lanes = np.arange(len(lanes))
+        # Replace lanes whose session has no remaining pair, in lane order,
+        # while unconsumed sessions remain; drop the others.
+        done = np.flatnonzero(pos + 1 >= self._length[lanes])
+        if done.size:
+            new = self._queue[self._next_session:self._next_session + done.size]
+            self._next_session += len(new)
+            lanes, pos = lanes.copy(), pos.copy()
+            lanes[done[:len(new)]], pos[done[:len(new)]] = new, 0
+            if len(new) < done.size:
+                prev_lanes = np.delete(prev_lanes, done[len(new):])
+                lanes, pos = lanes[prev_lanes], pos[prev_lanes]
+        if not len(lanes):
             raise StopIteration
-        self._lanes, self._pos = lanes, pos
-
-        items = [self._sessions[s].items for s in lanes]
-        inputs = np.array([it[p] for it, p in zip(items, pos)], dtype=np.int64)
-        targets = np.array([it[p + 1] for it, p in zip(items, pos)], dtype=np.int64)
+        at = self._start[lanes] + pos
         batch = MiniBatch(
-            inputs=inputs,
-            targets=targets,
-            reset_mask=np.array(fresh, dtype=bool),
-            prev_lanes=np.array(prev_lanes, dtype=np.int64),
-            sessions=np.array(lanes, dtype=np.int64),
-            positions=np.array(pos, dtype=np.int64),
+            inputs=self._items[at],
+            targets=self._items[at + 1],
+            reset_mask=pos == 0,
+            prev_lanes=prev_lanes,
+            sessions=lanes,
+            positions=pos,
         )
-        self._pos = [p + 1 for p in self._pos]
-        self._fresh = [False] * len(lanes)
+        self._lanes, self._pos = lanes, pos + 1
         return batch

@@ -289,6 +289,7 @@ def evaluate(
     target is ranked at each step. The cases are the events before each
     session's last, sessions taken in ``test``'s iteration order; each
     case's rank is stored in that order and the metrics are summed in it.
+    The cutoff ``k`` must be at least 1.
 
     With ``prefilter_n`` set, the target is ranked only against that
     many most popular training items (the target itself always included),
@@ -297,15 +298,16 @@ def evaluate(
     for a target raises ValueError naming the session of the first such
     case (see :func:`rank_of`).
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     candidates: np.ndarray | None = None
     if prefilter_n is not None:
         if popularity is None:
             raise ValueError("prefilter requires training popularity counts")
         candidates = top_k(popularity, prefilter_n)
 
-    sessions = test.sessions
-    n_of = np.array([max(len(s) - 1, 0) for s in sessions], dtype=np.int64)
-    first_case = np.concatenate([[0], np.cumsum(n_of)])
+    n_of = np.diff(test.offsets) - 1
+    first_case = test.offsets - np.arange(len(test) + 1)
     n_cases = int(first_case[-1])
     if n_cases == 0:
         return EvalReport(float("nan"), float("nan"), k, 0)
@@ -319,14 +321,15 @@ def evaluate(
     nan_cases = np.flatnonzero(ranks == 0)
     if nan_cases.size:
         case = nan_cases[0]
-        sess = sessions[int(np.searchsorted(first_case, case, side="right")) - 1]
-        target = int(sess.items[position[case] + 1])
+        session = int(np.searchsorted(first_case, case, side="right")) - 1
+        target = int(test.items[test.offsets[session] + position[case] + 1])
         pos = target  # the target's index in the ranked vector
         if candidates is not None:
             where = np.flatnonzero(candidates == target)
             pos = int(where[0]) if where.size else len(candidates)
         raise ValueError(
-            f"test session {sess.session_id!r}, next item {target}: {_nan_target(pos)}"
+            f"test session {test.session_ids[session]!r}, next item {target}: "
+            f"{_nan_target(pos)}"
         )
 
     hit = ranks <= k

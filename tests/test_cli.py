@@ -52,12 +52,11 @@ class TestPrepare:
         assert code == 0
         assert "train_sessions=" in out and "test_sessions=" in out
         last_day_start = 6 * DAY
-        for ev in read_events_csv(test.read_text()):
-            pass  # events parse back cleanly
-        # all test sessions start in the final day
+        # the test sessions parse back cleanly and all start in the final day
+        events = read_events_csv(test.read_text())
         firsts = {}
-        for ev in read_events_csv(test.read_text()):
-            firsts.setdefault(ev.session_id, ev.timestamp)
+        for s, t in zip(events.sessions.tolist(), events.times.tolist()):
+            firsts.setdefault(s, t)
         assert all(t >= last_day_start for t in firsts.values())
 
     def test_idempotent(self, corpus, tmp_path, capsys):
@@ -99,6 +98,34 @@ def prepared(corpus, tmp_path, rng):
     assert main(["prepare", "--input", str(corpus), "--out", str(train), str(test),
                  "--split-last-days", "1"]) == 0
     return train, test
+
+
+BAD_TIMES = [("timestamp out of range", "99999999999999999999"), ("negative timestamp", "-5")]
+
+
+@pytest.mark.parametrize("command,kind,first,text", [
+    (command, kind, "1", text)
+    for command in ("prepare", "train", "evaluate") for kind, text in BAD_TIMES
+] + [("prepare --iso-time", "negative timestamp", "1970-01-01T00:00:00", "1969-12-31T23:59:59")])
+def test_bad_timestamp_exits_1_naming_its_line(command, kind, first, text, prepared, tmp_path,
+                                               capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"SessionId,ItemId,Time\nsess,prod1,{first}\nsess,prod2,{text}\n")
+    model = tmp_path / "m.bin"
+    if command == "evaluate":
+        assert main(["baseline", "--kind", "pop", "--data", str(prepared[0]),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+    name, *flags = command.split()
+    argv = {
+        "prepare": ["prepare", "--input", str(bad), "--out", str(tmp_path / "train.csv"),
+                    str(tmp_path / "test.csv"), "--split-time", "1"],
+        "train": ["train", "--data", str(bad), "--model", str(model), "--epochs", "1"],
+        "evaluate": ["evaluate", "--model", str(model), "--test", str(bad)],
+    }[name] + flags
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: line 3: {kind} {text!r}\n"
 
 
 class TestTrain:
@@ -474,6 +501,20 @@ class TestEvaluateAndRecommend:
         )
         assert code == 1 and out == ""
         assert err == f"error: --prefilter must be at least 1, got {prefilter}\n"
+
+    @pytest.mark.parametrize("cutoff", ["0", "-3"])
+    def test_evaluate_cutoff_below_one_rejected(self, cutoff, prepared, tmp_path, capsys):
+        train, test = prepared
+        model = tmp_path / "pop.bin"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            ["evaluate", "--model", str(model), "--test", str(test), "--cutoff", cutoff],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --cutoff must be at least 1, got {cutoff}\n"
 
     def test_config_sets_cutoff(self, prepared, tmp_path, capsys):
         train, test = prepared

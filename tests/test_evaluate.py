@@ -242,6 +242,12 @@ class TestEvaluate:
             evaluate(PopScorer(vocab), store, k=1, prefilter_n=prefilter_n,
                      popularity=vocab.popularity)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_cutoff_below_one_rejected(self, k):
+        store, vocab = store_from_lists([[0, 1, 2], [2, 1]])
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            evaluate(PopScorer(vocab), store, k=k)
+
     def test_empty_test_flagged(self):
         from sessrec.data import SessionStore
 
@@ -327,9 +333,11 @@ class TestLanesEqualEvents:
             min_size=1, max_size=90), label="sessions")
         sessions[0] = sessions[0] + [0]  # at least one case
         store, vocab = store_from_lists(sessions, n_items=n_items)
-        # iteration order (the case order) differs from the lanes' start-time order
+        # a store orders the sessions it is given by start time, then id
         order = data.draw(st.permutations(range(len(store))), label="order")
-        test = SessionStore([store.sessions[i] for i in order])
+        listed = store.ordered()
+        test = SessionStore([listed[i] for i in order])
+        assert test.session_ids == store.session_ids
         kind = data.draw(st.sampled_from(SCORER_KINDS), label="kind")
         scorer = make_scorer(kind, store, vocab, data.draw(st.integers(0, 50), label="seed"))
         prefilter_n = data.draw(st.sampled_from([None, 1, 2, n_items - 1, n_items]),
@@ -345,14 +353,14 @@ class TestLanesEqualEvents:
 
     @pytest.mark.parametrize("prefilter_n", [None, 1, 4, 9])
     def test_nan_error_names_the_first_case_in_case_order(self, prefilter_n):
-        # the lanes start with the shorter session, which meets its NaN at the
-        # first step; the longer one, first in case order, meets its at the fourth
-        store, vocab = store_from_lists([[6, 7], [0, 1, 2, 3, 4, 5]], n_items=9)
-        test = SessionStore(store.sessions[::-1])
+        # the longer session starts first, so it is first in case order and
+        # meets its NaN at the fourth step; the shorter one, in the second
+        # lane, meets its NaN at the first
+        test, vocab = store_from_lists([[0, 1, 2, 3, 4, 5], [6, 7]], n_items=9)
         scorer = NanAfterScorer({6: 7, 3: 4}, 9)
         kwargs = dict(k=5, prefilter_n=prefilter_n, popularity=vocab.popularity)
         want = outcome(evaluate_by_event, scorer, test, **kwargs)
-        assert want.startswith("ValueError: test session 's00001', next item 4: ")
+        assert want.startswith("ValueError: test session 's00000', next item 4: ")
         assert outcome(evaluate, scorer, test, **kwargs) == want
 
 
