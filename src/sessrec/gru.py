@@ -7,12 +7,16 @@ gradients with the hidden state carried in from the previous step treated
 as constant (truncated backpropagation, horizon one). Gradients of the
 item-indexed matrices are row-compact: the output weights get rows only for
 the sampled score columns and the input weights only for the items in the
-batch, so a step's cost does not grow with the catalog.
+batch. The discounted-sum input is a sparse map of each lane's session items
+(:class:`LaneItems`): its feed gathers only those items' rows and its
+gradient scatters only into them. So a step's cost follows the batch width
+and the sessions' lengths, not the catalog size.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass, field
@@ -28,6 +32,7 @@ __all__ = [
     "HyperParams",
     "GruLayerParams",
     "NetworkParams",
+    "LaneItems",
     "HiddenState",
     "ForwardCache",
     "Gradients",
@@ -174,15 +179,83 @@ class NetworkParams:
         return cls(n_items, layers, named["W_out"], vec(named.get("b_out")), hyper)
 
 
+class LaneItems:
+    """A sparse row of item weights per session lane.
+
+    The rows are flat arrays in lane-major order: lane ``k`` holds the items
+    ``items[offsets[k]:offsets[k + 1]]``, ascending, with the matching
+    ``weights``. A :class:`HiddenState` keeps each lane's discounted-sum
+    accumulator in this form, and :func:`discounted_input` hands the rows,
+    scaled to unit norm, to :func:`forward_step`. A lane holds only the items
+    of its current session.
+    """
+
+    def __init__(self, n_items: int, offsets: np.ndarray, items: np.ndarray,
+                 weights: np.ndarray):
+        self.n_items = n_items
+        self.offsets = offsets
+        self.items = items
+        self.weights = weights
+
+    @classmethod
+    def empty(cls, n_items: int, width: int) -> "LaneItems":
+        return cls(n_items, np.zeros(width + 1, dtype=np.intp), np.empty(0, dtype=np.intp),
+                   np.empty(0))
+
+    @property
+    def width(self) -> int:
+        return len(self.offsets) - 1
+
+    @functools.cached_property
+    def lanes(self) -> np.ndarray:
+        """The lane of every entry."""
+        return np.repeat(np.arange(self.width), np.diff(self.offsets))
+
+    @functools.cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.items, return_inverse=True)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The distinct items of all lanes, ascending."""
+        return self._distinct[0]
+
+    def reorder(self, prev_lanes: np.ndarray) -> "LaneItems":
+        """Lane ``k`` of the result is lane ``prev_lanes[k]`` of this map."""
+        counts = np.diff(self.offsets)[prev_lanes]
+        offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        idx = np.repeat(self.offsets[prev_lanes] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return LaneItems(self.n_items, offsets, self.items[idx], self.weights[idx])
+
+    def feed(self, W: np.ndarray) -> np.ndarray:
+        """Each lane's weighted sum of ``W``'s item rows, summed in item
+        order; shape (width, columns of ``W``). Every lane must hold an item."""
+        return np.add.reduceat(self.weights[:, None] * W[self.items], self.offsets[:-1])
+
+    def grad(self, da: np.ndarray) -> np.ndarray:
+        """The gradient of :meth:`feed` onto ``W``'s :attr:`rows`, given the
+        gradient ``da`` on its output: each entry adds ``weight * da[lane]``
+        to its item's row, in batch order.
+
+        ``np.bincount`` over (row, column) cells adds in that order from zero,
+        as ``np.add.at`` on the rows would, at a fraction of its cost."""
+        rows, inverse = self._distinct
+        h = da.shape[1]
+        cells = (inverse[:, None] * h + np.arange(h)).ravel()
+        terms = (self.weights[:, None] * da[self.lanes]).ravel()
+        return np.bincount(cells, weights=terms, minlength=len(rows) * h).reshape(len(rows), h)
+
+
 class HiddenState:
     """Per-layer hidden activations, one row per active session lane.
 
     In discounted-sum input mode ``acc`` holds each lane's input accumulator,
-    one row of item weights per lane (see :func:`discounted_input`); it is
-    None in 1-of-N mode.
+    the weights of its session's items (see :func:`discounted_input`), as a
+    :class:`LaneItems` map; it is None in 1-of-N mode.
     """
 
-    def __init__(self, layers: list[np.ndarray], acc: np.ndarray | None = None):
+    def __init__(self, layers: list[np.ndarray], acc: LaneItems | None = None):
         self.layers = layers
         self.acc = acc
 
@@ -192,7 +265,7 @@ class HiddenState:
         hyper = params.hyper
         acc = None
         if hyper.input_mode == "discounted_sum":
-            acc = np.zeros((width, params.n_items))
+            acc = LaneItems.empty(params.n_items, width)
         return cls([np.zeros((width, hyper.hidden_size)) for _ in range(hyper.n_layers)], acc)
 
     @property
@@ -201,7 +274,7 @@ class HiddenState:
 
     def reorder(self, prev_lanes: np.ndarray) -> "HiddenState":
         """Realign lane rows after the batcher replaced or dropped lanes."""
-        acc = None if self.acc is None else self.acc[prev_lanes]
+        acc = None if self.acc is None else self.acc.reorder(prev_lanes)
         return HiddenState([h[prev_lanes] for h in self.layers], acc)
 
 
@@ -252,7 +325,7 @@ class ForwardCache:
     """Intermediates of one forward step, needed by backward_step."""
 
     items: np.ndarray
-    input_vectors: np.ndarray | None  # (B, n_items), discounted mode only
+    input_vectors: LaneItems | None  # unit-norm input rows, discounted mode only
     sampled_columns: np.ndarray
     layer: list[_LayerCache] = field(default_factory=list)
     linear_scores: np.ndarray | None = None  # pre-tanh output scores
@@ -291,24 +364,40 @@ def _check_in_vocab(idx: np.ndarray, n_items: int, what: str) -> None:
         raise IndexError(f"{what} out of vocabulary: {bad[0]}")
 
 
-def discounted_input(h: HiddenState, batch: MiniBatch, decay: float) -> np.ndarray | None:
+def discounted_input(h: HiddenState, batch: MiniBatch, decay: float) -> LaneItems | None:
     """Advance each lane's discounted-sum accumulator by the batch's event and
     return its rows scaled to unit norm, the input that :func:`forward_step`
     takes in that mode.
 
-    A lane flagged in ``batch.reset_mask`` starts from zero, every weight is
+    A lane flagged in ``batch.reset_mask`` starts empty, every weight is
     multiplied by ``decay`` and the input item's weight grows by 1, so the
-    event ``k`` steps back weighs ``decay**k`` and repeats add up. Training
-    and serving both build the input here, so they feed the same bits. A
-    state without an accumulator (1-of-N input) gives None.
+    event ``k`` steps back weighs ``decay**k`` and repeats add up. An input
+    item out of the vocabulary raises IndexError before any lane changes.
+    Training and serving both build the input here, so they feed the same
+    bits. A state without an accumulator (1-of-N input) gives None.
     """
     acc = h.acc
     if acc is None:
         return None
-    acc[batch.reset_mask] = 0.0
-    acc *= decay
-    acc[np.arange(batch.width), batch.inputs] += 1.0
-    return acc / np.linalg.norm(acc, axis=1, keepdims=True)
+    n = acc.n_items
+    inputs = np.asarray(batch.inputs, dtype=np.intp)
+    _check_in_vocab(inputs, n, "input item index")
+    # ``lane * n + item`` keys ascend through a lane-major map
+    keep = ~batch.reset_mask[acc.lanes]
+    keys = (acc.lanes * n + acc.items)[keep]
+    weights = acc.weights[keep] * decay
+    # an input item its lane holds gains 1; any other is inserted in order
+    new = np.arange(len(inputs)) * n + inputs
+    pos = np.searchsorted(keys, new)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == new[found]
+    weights[pos[found]] += 1.0
+    keys = np.insert(keys, pos[~found], new[~found])
+    weights = np.insert(weights, pos[~found], 1.0)
+    offsets = np.searchsorted(keys, np.arange(len(inputs) + 1) * n)
+    h.acc = state = LaneItems(n, offsets, keys % n, weights)
+    norms = np.sqrt(np.add.reduceat(weights * weights, offsets[:-1]))
+    return LaneItems(n, offsets, state.items, weights / norms[state.lanes])
 
 
 def forward_step(
@@ -328,9 +417,10 @@ def forward_step(
     consume linear scores. :func:`score_all` scores the full vocabulary.
 
     ``input_vectors`` carries the unit-norm discounted-sum input rows (see
-    :func:`discounted_input`) and is required in that mode; in 1-of-N mode
-    the batch's item indices are used directly as row lookups. The returned
-    state keeps ``h``'s accumulator.
+    :func:`discounted_input`) and is required in that mode: each lane's feed
+    is the weighted sum of its items' rows. In 1-of-N mode the batch's item
+    indices are used directly as row lookups. The returned state keeps
+    ``h``'s accumulator.
     """
     hyper = params.hyper
     items = np.asarray(batch.inputs, dtype=np.intp)
@@ -340,9 +430,7 @@ def forward_step(
     if hyper.input_mode == "discounted_sum":
         if input_vectors is None:
             raise ValueError("discounted_sum input mode requires input_vectors")
-
-        def item_feed(W):
-            return input_vectors @ W
+        item_feed = input_vectors.feed
     else:
         input_vectors = None
 
@@ -408,10 +496,10 @@ def backward_step(
     Item-indexed gradients are row-compact (see :class:`Gradients`):
     ``W_out`` and ``b_out`` hold one row per distinct sampled column; the
     first layer's ``W_z``/``W_r``/``W`` hold one row per distinct input item
-    (one-hot) or per item with a non-zero input weight (discounted sum);
+    (one-hot) or per distinct item of the lanes' input maps (discounted sum);
     deeper layers with deep input hold their ``hidden`` recurrent-input rows
     followed by the item rows. Duplicate columns or items sum in batch order,
-    so every row equals that of the dense gradient bit for bit, and all rows
+    so every row equals that of a dense scatter-add bit for bit, and all rows
     left out are exactly zero in it. The other gradients are dense.
     """
     if cache.scores is None:
@@ -432,12 +520,9 @@ def backward_step(
 
     iv = cache.input_vectors
     if iv is not None:
-        # The full GEMM, then sliced: a GEMM over fewer columns may round
-        # differently, and retrains must stay byte-identical.
-        item_rows = np.flatnonzero(iv.any(axis=0))
-
-        def item_grad(da):
-            return (iv.T @ da)[item_rows]
+        # each map entry scatters its weight times its lane's gradient into
+        # its item's row; no row outside the lanes' sessions is touched
+        item_rows, item_grad = iv.rows, iv.grad
     else:
         item_rows, item_inv = np.unique(cache.items, return_inverse=True)
 

@@ -61,6 +61,23 @@ def dense_grads(params, grads):
     return out
 
 
+def dense_discounted_input(acc, batch, decay):
+    """The discounted-sum input by its dense definition. ``acc`` holds one
+    row of item weights per lane, (width, n_items), and is advanced in place;
+    returns its rows scaled to unit norm."""
+    acc[batch.reset_mask] = 0.0
+    acc *= decay
+    acc[np.arange(batch.width), batch.inputs] += 1.0
+    return acc / np.linalg.norm(acc, axis=1, keepdims=True)
+
+
+def to_dense(m):
+    """A LaneItems map as a (width, n_items) matrix."""
+    out = np.zeros((m.width, m.n_items))
+    out[m.lanes, m.items] = m.weights
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

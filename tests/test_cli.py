@@ -421,11 +421,14 @@ class TestEvaluateAndRecommend:
         from sessrec.modelio import load_model_file
 
         train, test = prepared
-        for kind in ["gru", "pop", "spop", "itemknn", "bprmf"]:
+        for kind in ["gru", "gru-dsum", "pop", "spop", "itemknn", "bprmf"]:
             model = tmp_path / f"{kind}.bin"
-            if kind == "gru":
+            if kind.startswith("gru"):
                 argv = ["train", "--data", str(train), "--model", str(model),
                         "--epochs", "1", "--hidden", "8", "--batch", "4"]
+                if kind == "gru-dsum":
+                    argv += ["--input-mode", "discounted_sum", "--input-decay", "0.8",
+                             "--loss", "xent", "--optimizer", "rmsprop"]
             else:
                 argv = ["baseline", "--kind", kind, "--data", str(train),
                         "--model", str(model), "--epochs", "1"]

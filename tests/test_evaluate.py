@@ -11,7 +11,7 @@ from sessrec.evaluate import (BprMfScorer, EvalReport, GruScorer, ItemKnnScorer,
                               SessionScorer, SpopScorer, evaluate, rank_of, top_k)
 from sessrec.gru import HyperParams, init_network
 
-from conftest import bprmf_prefix_scores, spop_prefix_scores, store_from_lists
+from conftest import bprmf_prefix_scores, fed, spop_prefix_scores, store_from_lists
 
 # the package re-exports the evaluate() function under the submodule's name
 evaluation = importlib.import_module("sessrec.evaluate")
@@ -402,6 +402,23 @@ class TestLazyScoring:
         got = lazy.step(prefix[-1])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("mode", ["one_hot", "discounted_sum"])
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_rejected_item_changes_no_lane(self, mode, bad):
+        params = init_network(6, HyperParams(hidden_size=4, seed=3, input_mode=mode,
+                                             input_decay=0.5))
+        clean, scorer = GruScorer(params), GruScorer(params)
+        for item in (2, 5, 2):
+            for s in (scorer, clean):
+                want = s.step(item)
+            with pytest.raises(IndexError, match="input item index out of vocabulary"):
+                scorer.feed(bad)
+            assert scorer.scores().tobytes() == want.tobytes()
+        scorer.reset()
+        with pytest.raises(IndexError, match="input item index out of vocabulary"):
+            scorer.feed(bad)
+        assert fed(scorer, [4]).tobytes() == fed(clean, [4]).tobytes()
+
 
 class TestTrainServeInput:
     @pytest.mark.parametrize("decay", [0.8, 1.0])
@@ -420,7 +437,7 @@ class TestTrainServeInput:
             real = module.forward_step
 
             def forward_step(*args, **kwargs):
-                record.append((args[1], kwargs["input_vectors"].copy()))
+                record.append((args[1], kwargs["input_vectors"]))
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, "forward_step", forward_step)
@@ -442,7 +459,10 @@ class TestTrainServeInput:
                 scorer = GruScorer(params)
                 for item in prefixes[k]:
                     scorer.feed(item)
-                assert served[-1][1].shape == (1, n_items)
-                assert served[-1][1][0].tobytes() == rows[k].tobytes(), prefixes[k]
+                lane = slice(rows.offsets[k], rows.offsets[k + 1])
+                alone = served[-1][1]
+                assert alone.width == 1
+                assert alone.items.tobytes() == rows.items[lane].tobytes(), prefixes[k]
+                assert alone.weights.tobytes() == rows.weights[lane].tobytes(), prefixes[k]
                 n_checked += 1
         assert n_checked == store.n_events - len(store)

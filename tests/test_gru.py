@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sessrec.data import MiniBatch
 from sessrec.gru import (
@@ -9,6 +11,7 @@ from sessrec.gru import (
     GruLayerParams,
     HiddenState,
     HyperParams,
+    LaneItems,
     NetworkParams,
     backward_step,
     discounted_input,
@@ -19,7 +22,7 @@ from sessrec.gru import (
 from sessrec.linalg import make_rng
 from sessrec.losses import LOSSES, negatives_mask
 
-from conftest import dense_grads
+from conftest import dense_discounted_input, dense_grads, to_dense
 
 
 def zero_layer(in_dim, hidden):
@@ -54,14 +57,17 @@ def cell_by_hand(x, h, p):
 def gru_cell(x, h, p):
     """One forward_step of a one-layer network whose input vector is x.
 
-    Discounted-sum mode feeds ``input_vectors`` as given, so x is arbitrary;
-    dropout is 0, so the step is the GRU cell alone.
+    Discounted-sum mode feeds ``input_vectors`` as given, so x is arbitrary:
+    it goes in as a one-lane map holding every item. Dropout is 0, so the
+    step is the GRU cell alone.
     """
+    n = len(x)
     hyper = HyperParams(hidden_size=len(h), dropout_rate=0.0, input_mode="discounted_sum")
-    params = NetworkParams(len(x), [p], np.zeros((len(x), len(h))), None, hyper)
+    params = NetworkParams(n, [p], np.zeros((n, len(h))), None, hyper)
+    x_map = LaneItems(n, np.array([0, n]), np.arange(n), np.asarray(x, dtype=float))
     _, state, _ = forward_step(
         params, make_batch([0], [0]), HiddenState([np.asarray(h, dtype=float)[None, :]]),
-        np.empty(0, dtype=np.intp), input_vectors=np.asarray(x, dtype=float)[None, :],
+        np.empty(0, dtype=np.intp), input_vectors=x_map,
     )
     return state.layers[0][0]
 
@@ -252,6 +258,52 @@ class TestBackwardStep:
                 )
 
 
+    @pytest.mark.parametrize("n_layers,deep", [(1, False), (2, True)])
+    def test_finite_difference_discounted_sum(self, n_layers, deep, rng):
+        n_items, hidden, b = 7, 3, 3
+        hyper = HyperParams(
+            hidden_size=hidden, n_layers=n_layers, deep_input=deep, dropout_rate=0.0,
+            input_mode="discounted_sum", input_decay=0.8, seed=4,
+        )
+        params = init_network(n_items, hyper)
+        # lane prefixes [2, 5, 2, 2] and [1, 1, 4, 1]; lane 2 sees [3, 6, 3],
+        # then resets onto item 5
+        h = HiddenState.zeros(params, b)
+        for inputs, reset in (([2, 1, 3], [1, 1, 1]), ([5, 1, 6], [0, 0, 0]),
+                              ([2, 4, 3], [0, 0, 0])):
+            discounted_input(h, make_batch(inputs, [0] * b, reset), hyper.input_decay)
+        batch = make_batch([2, 1, 5], [4, 6, 0], reset=[False, False, True])
+        input_vectors = discounted_input(h, batch, hyper.input_decay)
+        h.layers = [rng.standard_normal((b, hidden)) * 0.4 for _ in range(n_layers)]
+        mask = negatives_mask(batch.targets)
+
+        def loss_value():
+            scores, _, cache = forward_step(params, batch, h, batch.targets,
+                                            input_vectors=input_vectors)
+            return LOSSES["top1"](scores, mask), cache
+
+        (_, d), cache = loss_value()
+        compact = backward_step(params, cache, d)
+        np.testing.assert_array_equal(compact.rows["layers.0.W"], [1, 2, 4, 5])
+        grads = dense_grads(params, compact)
+        eps = 1e-5
+        for name, p in params.named_params():
+            it = np.nditer(p, flags=["multi_index"])
+            for _ in it:
+                ix = it.multi_index
+                old = p[ix]
+                p[ix] = old + eps
+                vp = loss_value()[0][0]
+                p[ix] = old - eps
+                vm = loss_value()[0][0]
+                p[ix] = old
+                fd = (vp - vm) / (2 * eps)
+                got = grads[name][ix]
+                assert abs(got - fd) <= 1e-4 * max(abs(got), abs(fd), 1e-6), (
+                    f"{name}{ix}: analytic {got} vs fd {fd}"
+                )
+
+
 def closed_form_input(prefix, decay, n_items):
     """Oracle: the event ``k`` steps in the past weighs ``decay**k``, weights of
     duplicate items add up, and the vector is scaled to unit Euclidean norm."""
@@ -263,10 +315,10 @@ def closed_form_input(prefix, decay, n_items):
 
 def shared_input(prefix, decay, n_items):
     """discounted_input's row after feeding ``prefix`` to one fresh lane."""
-    h = HiddenState([np.zeros((1, 1))], np.zeros((1, n_items)))
+    h = HiddenState([np.zeros((1, 1))], LaneItems.empty(n_items, 1))
     for item in prefix:
         v = discounted_input(h, make_batch([item], [0]), decay)
-    return v[0]
+    return to_dense(v)[0]
 
 
 class TestDiscountedInput:
@@ -298,7 +350,7 @@ class TestDiscountedInput:
         # three lanes over changing sessions; each row must be the closed form
         # of its own lane's prefix since the lane's last reset
         n_items, decay = 7, 0.6
-        h = HiddenState([np.zeros((3, 1))], np.zeros((3, n_items)))
+        h = HiddenState([np.zeros((3, 1))], LaneItems.empty(n_items, 3))
         prefixes = [[], [], []]
         for step in range(40):
             width = 3 if step < 30 else 2
@@ -311,7 +363,7 @@ class TestDiscountedInput:
             for k in range(width):
                 prefixes[k] = prefixes[k] + [int(inputs[k])]
             batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
-            rows = discounted_input(h, batch, decay)
+            rows = to_dense(discounted_input(h, batch, decay))
             for k in range(width):
                 np.testing.assert_allclose(
                     rows[k], closed_form_input(prefixes[k], decay, n_items), rtol=1e-13)
@@ -321,6 +373,85 @@ class TestDiscountedInput:
         h = HiddenState.zeros(params, 2)
         assert h.acc is None
         assert discounted_input(h, make_batch([0, 1], [1, 2]), 0.5) is None
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_vocabulary_input_leaves_lanes_unchanged(self, bad):
+        h = HiddenState([np.zeros((2, 1))], LaneItems.empty(6, 2))
+        discounted_input(h, make_batch([2, 3], [0, 0], reset=[True, True]), 0.5)
+        before = to_dense(h.acc)
+        with pytest.raises(IndexError, match="input item index out of vocabulary"):
+            discounted_input(h, make_batch([1, bad], [0, 0]), 0.5)
+        assert to_dense(h.acc).tobytes() == before.tobytes()
+
+    def test_rows_pinned(self):
+        # three lanes for 60 steps over 40 items, narrowing to two; sessions
+        # of up to 30 events hold up to 20 distinct items. No BLAS is
+        # involved, so the bytes hold on every machine.
+        rng = np.random.default_rng(2024)
+        n_items, decay = 40, 0.8
+        h = HiddenState([np.zeros((3, 1))], LaneItems.empty(n_items, 3))
+        digest = hashlib.sha256()
+        for step in range(60):
+            width = 3 if step < 45 else 2
+            prev = np.array([2, 0]) if width != h.width else np.arange(width)
+            if width != h.width:
+                h = h.reorder(prev)
+            reset = rng.random(width) < 0.06 if step else np.ones(width, bool)
+            inputs = rng.integers(0, n_items, width)
+            rows = discounted_input(h, MiniBatch(inputs, np.zeros(width, np.int64), reset, prev),
+                                    decay)
+            for arr in (rows.offsets.astype(np.int64), rows.items.astype(np.int64),
+                        rows.weights):
+                digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "35cf57f5238f33b02c471478592415467ca85a4522413289fd966c224e7e689f")
+
+
+class TestSparseInputOracle:
+    """The lane map against the dense definition: a (width, n_items)
+    accumulator, the input feed as a GEMM and its gradient as the
+    transposed GEMM."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), decay=st.sampled_from([0.5, 0.8, 1.0]),
+           n_items=st.integers(1, 6), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_map_matches_dense_definition(self, data, decay, n_items, width, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((n_items, 4))
+        h = HiddenState([np.zeros((width, 1))], LaneItems.empty(n_items, width))
+        acc = np.zeros((width, n_items))
+        for step in range(data.draw(st.integers(1, 12), label="steps")):
+            new_width = data.draw(st.integers(1, width), label="width")
+            prev = np.arange(width)
+            if new_width != width:
+                prev = np.array(data.draw(st.permutations(range(width)), label="prev"))
+                prev = prev[:new_width]
+                h, acc, width = h.reorder(prev), acc[prev], new_width
+            flags = st.lists(st.booleans(), min_size=width, max_size=width)
+            reset = np.array(data.draw(flags, label="reset")) if step else np.ones(width, bool)
+            items = st.lists(st.integers(0, n_items - 1), min_size=width, max_size=width)
+            inputs = np.array(data.draw(items, label="inputs"), dtype=np.int64)
+            batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
+
+            rows = discounted_input(h, batch, decay)
+            want = dense_discounted_input(acc, batch, decay)
+            for m in (h.acc, rows):
+                keys = m.lanes * n_items + m.items
+                assert np.all(np.diff(keys) > 0)  # lane-major, items ascending
+            assert rows.offsets.tolist() == h.acc.offsets.tolist()
+            assert to_dense(h.acc).tobytes() == acc.tobytes()
+            np.testing.assert_allclose(to_dense(rows), want, rtol=1e-13, atol=0)
+
+            # the dense products sum the same terms in another order: each
+            # entry must lie within 1e-12 of the sum of its terms' magnitudes
+            feed = rows.feed(W)
+            assert np.all(np.abs(feed - want @ W) <= 1e-12 * (np.abs(want) @ np.abs(W)))
+            da = rng.standard_normal((width, 4))
+            dense_rows = np.flatnonzero(want.any(axis=0))
+            assert rows.rows.tolist() == dense_rows.tolist()
+            grad = rows.grad(da)
+            bound = 1e-12 * (np.abs(want).T @ np.abs(da))[dense_rows]
+            assert np.all(np.abs(grad - (want.T @ da)[dense_rows]) <= bound)
 
 
 class TestDeterminism:
