@@ -21,7 +21,8 @@ from .baselines import (
     pop_score,
 )
 from .data import MiniBatch, SessionBatcher, SessionStore
-from .gru import HiddenState, NetworkParams, discounted_input, forward_step, score_all
+from .gru import (HiddenState, NetworkParams, _check_in_vocab, discounted_input, forward_step,
+                  score_all)
 
 __all__ = [
     "EVAL_LANES",
@@ -100,8 +101,10 @@ class SessionScorer:
     per lane of a :class:`MiniBatch`: it realigns the per-lane state by
     ``prev_lanes`` when the width changes and starts ``reset_mask`` lanes
     afresh; a batch whose lanes all reset needs no earlier state, so a first
-    batch may have any width. ``lane_scores()`` returns, for every lane, the
-    scores of its next item over the full vocabulary, shape (width, n_items).
+    batch may have any width. An input item outside the vocabulary raises
+    IndexError before any lane changes. ``lane_scores()`` returns, for every
+    lane, the scores of its next item over the full vocabulary, shape
+    (width, n_items).
 
     ``reset``/``feed``/``scores``/``step`` serve one session as a single
     lane. Feeding does no scoring, so a caller that ranks only after the
@@ -183,6 +186,7 @@ class PopScorer(SessionScorer):
         self._width = 0
 
     def advance(self, batch: MiniBatch) -> None:
+        _check_in_vocab(batch.inputs, len(self._scores), "input item index")
         self._width = batch.width
 
     def lane_scores(self) -> np.ndarray:
@@ -203,6 +207,7 @@ class SpopScorer(SessionScorer):
         self._counts = np.zeros((0, len(vocab)))
 
     def advance(self, batch: MiniBatch) -> None:
+        _check_in_vocab(batch.inputs, len(self._tiebreak), "input item index")
         self._counts = _realigned(self._counts, batch)
         self._counts[np.arange(batch.width), batch.inputs] += 1.0
 
@@ -218,6 +223,7 @@ class ItemKnnScorer(SessionScorer):
         self._last = np.empty(0, dtype=np.int64)
 
     def advance(self, batch: MiniBatch) -> None:
+        _check_in_vocab(batch.inputs, self.model.n_items, "input item index")
         self._last = batch.inputs
 
     def lane_scores(self) -> np.ndarray:
@@ -235,6 +241,7 @@ class BprMfScorer(SessionScorer):
         self._lengths = np.zeros(0, dtype=np.int64)
 
     def advance(self, batch: MiniBatch) -> None:
+        _check_in_vocab(batch.inputs, len(self.model.factors), "input item index")
         self._sums = _realigned(self._sums, batch)
         self._sums += self.model.factors[batch.inputs]
         self._lengths = _realigned(self._lengths, batch)

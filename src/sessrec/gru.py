@@ -4,13 +4,14 @@ One or more GRU layers over 1-of-N (or discounted weighted-sum) session
 input, with a tanh-activated linear output layer scoring items. Forward
 stepping works on session-parallel mini-batches; the backward pass produces
 gradients with the hidden state carried in from the previous step treated
-as constant (truncated backpropagation, horizon one). Gradients of the
-item-indexed matrices are row-compact: the output weights get rows only for
-the sampled score columns and the input weights only for the items in the
-batch. The discounted-sum input is a sparse map of each lane's session items
-(:class:`LaneItems`): its feed gathers only those items' rows and its
-gradient scatters only into them. So a step's cost follows the batch width
-and the sessions' lengths, not the catalog size.
+as constant (truncated backpropagation, horizon one). Every item-indexed
+read and write goes through one sparse map of item weights per lane
+(:class:`LaneItems`): the 1-of-N input is a map of one item per lane, the
+discounted-sum input a map of each lane's session items, and the output
+layer's sampled columns a map of one column each. A feed gathers only the
+mapped items' rows and a gradient scatters only into them, so gradients of
+the item-indexed matrices are row-compact and a step's cost follows the
+batch width and the sessions' lengths, not the catalog size.
 """
 
 from __future__ import annotations
@@ -184,10 +185,12 @@ class LaneItems:
 
     The rows are flat arrays in lane-major order: lane ``k`` holds the items
     ``items[offsets[k]:offsets[k + 1]]``, ascending, with the matching
-    ``weights``. A :class:`HiddenState` keeps each lane's discounted-sum
-    accumulator in this form, and :func:`discounted_input` hands the rows,
-    scaled to unit norm, to :func:`forward_step`. A lane holds only the items
-    of its current session.
+    ``weights``. It is the GRU's one gather (:meth:`feed`) and scatter
+    (:meth:`grad`) of item rows. A :class:`HiddenState` keeps each lane's
+    discounted-sum accumulator in this form, and :func:`discounted_input`
+    hands the rows, scaled to unit norm, to :func:`forward_step`; there a lane
+    holds only the items of its current session. :meth:`one_hot` maps the
+    1-of-N input, and the output layer's sampled columns, one item per lane.
     """
 
     def __init__(self, n_items: int, offsets: np.ndarray, items: np.ndarray,
@@ -201,6 +204,12 @@ class LaneItems:
     def empty(cls, n_items: int, width: int) -> "LaneItems":
         return cls(n_items, np.zeros(width + 1, dtype=np.intp), np.empty(0, dtype=np.intp),
                    np.empty(0))
+
+    @classmethod
+    def one_hot(cls, n_items: int, items: np.ndarray) -> "LaneItems":
+        """Lane ``k`` holds ``items[k]`` alone, at weight 1.0."""
+        return cls(n_items, np.arange(len(items) + 1, dtype=np.intp), items,
+                   np.ones(len(items)))
 
     @property
     def width(self) -> int:
@@ -231,7 +240,10 @@ class LaneItems:
     def feed(self, W: np.ndarray) -> np.ndarray:
         """Each lane's weighted sum of ``W``'s item rows, summed in item
         order; shape (width, columns of ``W``). Every lane must hold an item."""
-        return np.add.reduceat(self.weights[:, None] * W[self.items], self.offsets[:-1])
+        rows = self.weights[:, None] * W[self.items]
+        if len(self.items) == self.width:  # one item per lane: its row is its sum
+            return rows
+        return np.add.reduceat(rows, self.offsets[:-1])
 
     def grad(self, da: np.ndarray) -> np.ndarray:
         """The gradient of :meth:`feed` onto ``W``'s :attr:`rows`, given the
@@ -239,7 +251,8 @@ class LaneItems:
         to its item's row, in batch order.
 
         ``np.bincount`` over (row, column) cells adds in that order from zero,
-        as ``np.add.at`` on the rows would, at a fraction of its cost."""
+        as an unbuffered scatter-add of the rows (the tests' oracle) would, at
+        a fraction of its cost."""
         rows, inverse = self._distinct
         h = da.shape[1]
         cells = (inverse[:, None] * h + np.arange(h)).ravel()
@@ -324,8 +337,7 @@ class _LayerCache:
 class ForwardCache:
     """Intermediates of one forward step, needed by backward_step."""
 
-    items: np.ndarray
-    input_vectors: LaneItems | None  # unit-norm input rows, discounted mode only
+    input_vectors: LaneItems  # the layer-0 input: one-hot or unit-norm discounted rows
     sampled_columns: np.ndarray
     layer: list[_LayerCache] = field(default_factory=list)
     linear_scores: np.ndarray | None = None  # pre-tanh output scores
@@ -351,14 +363,9 @@ class Gradients(dict):
             self.rows[name] = rows
 
 
-def _scatter_rows(n_rows: int, inverse: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``np.add.at`` of ``values`` into ``n_rows`` zero rows, in index order."""
-    block = np.zeros((n_rows,) + values.shape[1:])
-    np.add.at(block, inverse, values)
-    return block
-
-
 def _check_in_vocab(idx: np.ndarray, n_items: int, what: str) -> None:
+    if not idx.size:  # serving samples no score columns; skip the ufuncs
+        return
     bad = idx[(idx < 0) | (idx >= n_items)]
     if bad.size:
         raise IndexError(f"{what} out of vocabulary: {bad[0]}")
@@ -416,11 +423,11 @@ def forward_step(
     pre-activation scores are kept on the returned cache for losses that
     consume linear scores. :func:`score_all` scores the full vocabulary.
 
-    ``input_vectors`` carries the unit-norm discounted-sum input rows (see
-    :func:`discounted_input`) and is required in that mode: each lane's feed
-    is the weighted sum of its items' rows. In 1-of-N mode the batch's item
-    indices are used directly as row lookups. The returned state keeps
-    ``h``'s accumulator.
+    The item input is a :class:`LaneItems` map whose feed is each lane's
+    weighted sum of its items' rows. ``input_vectors`` carries the unit-norm
+    discounted-sum rows (see :func:`discounted_input`) and is required in
+    that mode; in 1-of-N mode it is ignored and the map holds the batch's
+    input item alone per lane. The returned state keeps ``h``'s accumulator.
     """
     hyper = params.hyper
     items = np.asarray(batch.inputs, dtype=np.intp)
@@ -430,16 +437,12 @@ def forward_step(
     if hyper.input_mode == "discounted_sum":
         if input_vectors is None:
             raise ValueError("discounted_sum input mode requires input_vectors")
-        item_feed = input_vectors.feed
     else:
-        input_vectors = None
-
-        def item_feed(W):
-            return W[items]  # 1-of-N input: plain row lookup
+        input_vectors = LaneItems.one_hot(params.n_items, items)
     if training and hyper.dropout_rate > 0.0 and rng is None:
         raise ValueError("training with dropout requires an rng")
 
-    cache = ForwardCache(items=items, input_vectors=input_vectors, sampled_columns=cols)
+    cache = ForwardCache(input_vectors=input_vectors, sampled_columns=cols)
     lower: np.ndarray | None = None
     new_layers: list[np.ndarray] = []
     for li, lp in enumerate(params.layers):
@@ -451,11 +454,11 @@ def forward_step(
         feeds = []
         for W in (lp.W_z, lp.W_r, lp.W):
             if li == 0:
-                f = item_feed(W)
+                f = input_vectors.feed(W)
             else:
                 f = lower @ W[:hdim]
                 if hyper.deep_input:
-                    f = f + item_feed(W[hdim:])
+                    f = f + input_vectors.feed(W[hdim:])
             feeds.append(f)
         f_z, f_r, f_c = feeds
         if lp.b_z is not None:
@@ -495,12 +498,13 @@ def backward_step(
 
     Item-indexed gradients are row-compact (see :class:`Gradients`):
     ``W_out`` and ``b_out`` hold one row per distinct sampled column; the
-    first layer's ``W_z``/``W_r``/``W`` hold one row per distinct input item
-    (one-hot) or per distinct item of the lanes' input maps (discounted sum);
-    deeper layers with deep input hold their ``hidden`` recurrent-input rows
-    followed by the item rows. Duplicate columns or items sum in batch order,
-    so every row equals that of a dense scatter-add bit for bit, and all rows
-    left out are exactly zero in it. The other gradients are dense.
+    first layer's ``W_z``/``W_r``/``W`` hold one row per distinct item of the
+    lanes' input map, in either input mode; deeper layers with deep input
+    hold their ``hidden`` recurrent-input rows followed by the item rows.
+    Both scatter through :meth:`LaneItems.grad`: duplicate columns or items
+    sum in batch order, so every row equals that of a dense scatter-add bit
+    for bit, and all rows left out are exactly zero in it. The other
+    gradients are dense.
     """
     if cache.scores is None:
         raise ValueError("forward cache is incomplete; run forward_step first")
@@ -513,21 +517,14 @@ def backward_step(
 
     grads = Gradients()
     last = cache.layer[-1].h_dropped
-    out_rows, out_inv = np.unique(cols, return_inverse=True)
-    grads.set("W_out", _scatter_rows(len(out_rows), out_inv, d_lin.T @ last), out_rows)
+    out = LaneItems.one_hot(params.n_items, cols)
+    grads.set("W_out", out.grad(d_lin.T @ last), out.rows)
     if params.b_out is not None:
-        grads.set("b_out", _scatter_rows(len(out_rows), out_inv, d_lin.sum(axis=0)), out_rows)
+        grads.set("b_out", out.grad(d_lin.sum(axis=0)[:, None])[:, 0], out.rows)
 
-    iv = cache.input_vectors
-    if iv is not None:
-        # each map entry scatters its weight times its lane's gradient into
-        # its item's row; no row outside the lanes' sessions is touched
-        item_rows, item_grad = iv.rows, iv.grad
-    else:
-        item_rows, item_inv = np.unique(cache.items, return_inverse=True)
-
-        def item_grad(da):
-            return _scatter_rows(len(item_rows), item_inv, da)
+    # each map entry scatters its weight times its lane's gradient into its
+    # item's row; no row outside the lanes' items is touched
+    item_rows, item_grad = cache.input_vectors.rows, cache.input_vectors.grad
     # deep-input layers: the lower layer's hidden rows, then the item rows
     deep_rows = np.concatenate([np.arange(hyper.hidden_size), hyper.hidden_size + item_rows])
 

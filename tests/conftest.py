@@ -61,6 +61,19 @@ def dense_grads(params, grads):
     return out
 
 
+def gather_rows(W, items):
+    """The 1-of-N input by its definition: a plain lookup of the items' rows."""
+    return W[items]
+
+
+def scatter_rows(n_rows, inverse, values):
+    """An item-row gradient by its definition: ``np.add.at`` of ``values``
+    into ``n_rows`` zero rows, in index order."""
+    block = np.zeros((n_rows,) + values.shape[1:])
+    np.add.at(block, inverse, values)
+    return block
+
+
 def dense_discounted_input(acc, batch, decay):
     """The discounted-sum input by its dense definition. ``acc`` holds one
     row of item weights per lane, (width, n_items), and is advanced in place;

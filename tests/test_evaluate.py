@@ -402,12 +402,19 @@ class TestLazyScoring:
         got = lazy.step(prefix[-1])
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("mode", ["one_hot", "discounted_sum"])
+    @pytest.mark.parametrize("kind", ["one_hot", "discounted_sum", "pop", "spop", "itemknn",
+                                      "bprmf"])
     @pytest.mark.parametrize("bad", [-1, 6])
-    def test_rejected_item_changes_no_lane(self, mode, bad):
-        params = init_network(6, HyperParams(hidden_size=4, seed=3, input_mode=mode,
-                                             input_decay=0.5))
-        clean, scorer = GruScorer(params), GruScorer(params)
+    def test_rejected_item_changes_no_lane(self, kind, bad):
+        store, vocab = store_from_lists([[2, 5, 2, 4], [1, 3, 0, 5, 2]], n_items=6)
+
+        def build():
+            if kind in ("one_hot", "discounted_sum"):
+                return GruScorer(init_network(6, HyperParams(
+                    hidden_size=4, seed=3, input_mode=kind, input_decay=0.5)))
+            return make_scorer(kind, store, vocab, seed=3)
+
+        clean, scorer = build(), build()
         for item in (2, 5, 2):
             for s in (scorer, clean):
                 want = s.step(item)

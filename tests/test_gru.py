@@ -22,7 +22,7 @@ from sessrec.gru import (
 from sessrec.linalg import make_rng
 from sessrec.losses import LOSSES, negatives_mask
 
-from conftest import dense_discounted_input, dense_grads, to_dense
+from conftest import dense_discounted_input, dense_grads, gather_rows, scatter_rows, to_dense
 
 
 def zero_layer(in_dim, hidden):
@@ -209,12 +209,26 @@ class TestBackwardStep:
             if row not in {5, 9}:
                 np.testing.assert_array_equal(g_out[row], 0.0)
 
+    def test_output_rows_equal_add_at_scatter(self, rng):
+        # duplicate, unsorted sampled columns sum in batch order into each row
+        params = init_network(9, HyperParams(hidden_size=4, dropout_rate=0.0, seed=2,
+                                             use_bias=True))
+        batch = make_batch([4, 1, 4, 7], [8, 2, 8, 0])
+        h = HiddenState([rng.standard_normal((4, 4))])
+        scores, _, cache = forward_step(params, batch, h, batch.targets)
+        dscores = rng.standard_normal(scores.shape)
+        grads = backward_step(params, cache, dscores)
+        d_lin = dscores * (1.0 - scores**2)
+        cols, inverse = np.unique(batch.targets, return_inverse=True)
+        want = {"W_out": d_lin.T @ cache.layer[-1].h_dropped, "b_out": d_lin.sum(axis=0)}
+        for name, values in want.items():
+            assert grads.rows[name].tolist() == cols.tolist()
+            assert grads[name].tobytes() == scatter_rows(len(cols), inverse, values).tobytes()
+
     def test_missing_cache_rejected(self):
         hyper = HyperParams(hidden_size=4, seed=2)
         params = init_network(6, hyper)
-        empty = ForwardCache(
-            items=np.array([0]), input_vectors=None, sampled_columns=np.array([0])
-        )
+        empty = ForwardCache(input_vectors=None, sampled_columns=np.array([0]))
         with pytest.raises(ValueError):
             backward_step(params, empty, np.zeros((1, 1)))
 
@@ -452,6 +466,46 @@ class TestSparseInputOracle:
             grad = rows.grad(da)
             bound = 1e-12 * (np.abs(want).T @ np.abs(da))[dense_rows]
             assert np.all(np.abs(grad - (want.T @ da)[dense_rows]) <= bound)
+
+
+class TestItemRowOracle:
+    """One item per lane against the plain row lookup and ``np.add.at``
+    scatter that the 1-of-N input and the output layer used before the map,
+    bit for bit."""
+
+    EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), width=st.integers(1, 60),
+           cols=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_one_item_per_lane_matches_gather_and_add_at(self, data, n, width, cols, seed):
+        rng = np.random.default_rng(seed)
+
+        def matrix(rows):
+            # magnitudes from 1e-300 to 1e300, a third of them signed zeros
+            # or other edge values
+            m = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 301, (rows, cols))
+            edge = rng.random((rows, cols)) < 0.3
+            m[edge] = rng.choice(self.EDGES, int(edge.sum()))
+            return m
+
+        items = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=width,
+                                            max_size=width), label="items"), dtype=np.intp)
+        W, da = matrix(n), matrix(width)
+        m = LaneItems.one_hot(n, items)
+        rows, inverse = np.unique(items, return_inverse=True)
+        assert m.rows.tolist() == rows.tolist()
+        assert m.feed(W).tobytes() == gather_rows(W, items).tobytes()
+        assert m.grad(da).tobytes() == scatter_rows(len(rows), inverse, da).tobytes()
+
+        # weights other than 1 take the one-entry-per-lane path of feed too
+        weights = rng.standard_normal(width) * 10.0 ** rng.integers(-3, 4, width)
+        weights[rng.random(width) < 0.2] = -0.0
+        w = LaneItems(n, m.offsets, items, weights)
+        terms = weights[:, None] * W[items]
+        assert w.feed(W).tobytes() == np.add.reduceat(terms, np.arange(width)).tobytes()
+        assert w.grad(da).tobytes() == scatter_rows(
+            len(rows), inverse, weights[:, None] * da).tobytes()
 
 
 class TestDeterminism:
