@@ -63,7 +63,7 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespac
     command line wins. A switch takes ``true`` or ``false``; an unknown key
     is an error."""
     front = []
-    with open(args.config, encoding="utf-8") as f:
+    with _text_file(args.config) as f:
         for line_no, line in enumerate(f, 1):
             where = f"config {args.config}, line {line_no}"
             line = line.strip()
@@ -88,6 +88,24 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespac
         raise data.DataFormatError(f"config {args.config}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _text_file(path: str):
+    """``path`` open for reading UTF-8 text, a leading byte-order mark
+    skipped and line ends kept. Bytes that are not UTF-8 end in a
+    DataFormatError naming their line."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                for line_no, line in enumerate(raw, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        break
+            raise data.DataFormatError(f"{path}: line {line_no}: not valid UTF-8") from None
+
+
 def _data_path(path: str) -> str:
     if os.path.isabs(path) or os.path.exists(path):
         return path
@@ -103,7 +121,7 @@ def _load_store(path: str, max_len: int = data.DEFAULT_MAX_SESSION_LEN,
                 iso_time: bool = False, vocab: data.ItemVocab | None = None):
     """Sessions of a CSV, indexed as :func:`data.index_sessions` does. A CSV
     to build a vocabulary from must hold a usable session."""
-    with open(_data_path(path), encoding="utf-8", newline="") as f:
+    with _text_file(_data_path(path)) as f:
         events = data.read_events_csv(f, iso_time=iso_time)
     store, store_vocab, dropped = data.index_sessions(events, vocab, max_len)
     if vocab is None and len(store) == 0:
@@ -240,7 +258,7 @@ def cmd_recommend(args) -> int:
         mf = modelio.load_model_file(f)
     scorer = _scorer_for(mf)
     with (contextlib.nullcontext(sys.stdin) if args.infile == "-"
-          else open(args.infile, encoding="utf-8")) as lines:
+          else _text_file(args.infile)) as lines:
         for line in lines:
             known = []
             for tok in line.split():

@@ -128,11 +128,11 @@ class SessionStore:
 class MiniBatch:
     """One step of session-parallel iteration.
 
-    ``prev_lanes[k]`` names the lane of the previous batch whose hidden row
-    lane ``k`` continues; rows flagged in ``reset_mask`` are zeroed before
-    stepping, so their mapping is immaterial. A :class:`SessionBatcher` also
-    says which case each lane holds: the index of its session in the store's
-    iteration order and the position of its input event in that session.
+    ``prev_lanes[k]`` names the lane of the previous batch that lane ``k``
+    continues, unless ``reset_mask`` flags it as starting a session; only
+    :meth:`realign` reads the two. A :class:`SessionBatcher` also says which
+    case each lane holds: the index of its session in the store's iteration
+    order and the position of its input event in that session.
     """
 
     inputs: np.ndarray  # item indices, shape (B,)
@@ -145,6 +145,17 @@ class MiniBatch:
     @property
     def width(self) -> int:
         return len(self.inputs)
+
+    def realign(self, rows: np.ndarray) -> np.ndarray:
+        """The previous batch's per-lane ``rows`` in this batch's lane order,
+        reset lanes zero, as a new array; of any width if every lane resets."""
+        resets = np.count_nonzero(self.reset_mask)
+        if resets == self.width:
+            return np.zeros((self.width,) + rows.shape[1:], rows.dtype)
+        out = rows.take(self.prev_lanes, axis=0)
+        if resets:
+            out[self.reset_mask] = 0
+        return out
 
 
 def _parse_time(text: str, iso: bool, line_no: int) -> int:

@@ -21,8 +21,8 @@ from .baselines import (
     pop_score,
 )
 from .data import MiniBatch, SessionBatcher, SessionStore
-from .gru import (HiddenState, NetworkParams, _check_in_vocab, discounted_input, forward_step,
-                  score_all)
+from .gru import (HiddenState, LaneItems, NetworkParams, _check_in_vocab, discounted_input,
+                  forward_step, score_all)
 
 __all__ = [
     "EVAL_LANES",
@@ -98,13 +98,12 @@ class SessionScorer:
     """A scorer of session lanes, the unit that :func:`evaluate` drives.
 
     A scorer implements two methods. ``advance(batch)`` consumes one event
-    per lane of a :class:`MiniBatch`: it realigns the per-lane state by
-    ``prev_lanes`` when the width changes and starts ``reset_mask`` lanes
-    afresh; a batch whose lanes all reset needs no earlier state, so a first
-    batch may have any width. An input item outside the vocabulary raises
-    IndexError before any lane changes. ``lane_scores()`` returns, for every
-    lane, the scores of its next item over the full vocabulary, shape
-    (width, n_items).
+    per lane of a :class:`MiniBatch`, after passing its per-lane state
+    through :meth:`MiniBatch.realign`, which starts reset lanes afresh; a
+    batch whose lanes all reset needs no earlier state, so a first batch may
+    have any width. An input item outside the vocabulary raises IndexError
+    before any lane changes. ``lane_scores()`` returns, for every lane, the
+    scores of its next item over the full vocabulary, shape (width, n_items).
 
     ``reset``/``feed``/``scores``/``step`` serve one session as a single
     lane. Feeding does no scoring, so a caller that ranks only after the
@@ -148,16 +147,6 @@ class SessionScorer:
         return self.scores()
 
 
-def _realigned(rows: np.ndarray, batch: MiniBatch) -> np.ndarray:
-    """Per-lane ``rows`` in the batch's lane order, those of reset lanes zero."""
-    if batch.reset_mask.all():
-        return np.zeros((batch.width,) + rows.shape[1:], rows.dtype)
-    if len(rows) != batch.width:
-        rows = rows[batch.prev_lanes]
-    rows[batch.reset_mask] = 0
-    return rows
-
-
 class GruScorer(SessionScorer):
     """All lanes advance in one forward step, and their (width, hidden) top
     layer is scored against every item in one product."""
@@ -167,13 +156,10 @@ class GruScorer(SessionScorer):
         self._h = HiddenState.zeros(params, 0)
 
     def advance(self, batch: MiniBatch) -> None:
-        if batch.reset_mask.all():
-            self._h = HiddenState.zeros(self.params, batch.width)
-        elif batch.width != self._h.width:
-            self._h = self._h.reorder(batch.prev_lanes)
+        h = self._h.realign(batch)
         _, self._h, _ = forward_step(
-            self.params, batch, self._h, sampled_columns=np.empty(0, dtype=np.intp),
-            input_vectors=discounted_input(self._h, batch, self.params.hyper.input_decay),
+            self.params, batch, h, sampled_columns=np.empty(0, dtype=np.intp),
+            input_vectors=discounted_input(h, batch, self.params.hyper.input_decay),
         )
 
     def lane_scores(self) -> np.ndarray:
@@ -195,8 +181,8 @@ class PopScorer(SessionScorer):
 
 class SpopScorer(SessionScorer):
     """Session popularity with global popularity as tiebreak: per-lane prefix
-    counts of every item, plus its global popularity as a fraction strictly
-    below one.
+    counts of every item (a :class:`LaneItems` map accumulated at decay 1.0),
+    plus its global popularity as a fraction strictly below one.
 
     Within-prefix counts dominate, so items absent from the prefix always
     rank below present ones, ordered among themselves by global counts.
@@ -204,15 +190,16 @@ class SpopScorer(SessionScorer):
 
     def __init__(self, vocab: ItemVocab):
         self._tiebreak = vocab.popularity / (vocab.popularity.sum() + 1.0)
-        self._counts = np.zeros((0, len(vocab)))
+        self._counts = LaneItems.empty(len(vocab), 0)
 
     def advance(self, batch: MiniBatch) -> None:
         _check_in_vocab(batch.inputs, len(self._tiebreak), "input item index")
-        self._counts = _realigned(self._counts, batch)
-        self._counts[np.arange(batch.width), batch.inputs] += 1.0
+        self._counts = self._counts.realign(batch).accumulate(batch.inputs, 1.0)
 
     def lane_scores(self) -> np.ndarray:
-        return self._counts + self._tiebreak
+        scores = np.tile(self._tiebreak, (self._counts.width, 1))
+        scores[self._counts.lanes, self._counts.items] += self._counts.weights
+        return scores
 
 
 class ItemKnnScorer(SessionScorer):
@@ -242,9 +229,9 @@ class BprMfScorer(SessionScorer):
 
     def advance(self, batch: MiniBatch) -> None:
         _check_in_vocab(batch.inputs, len(self.model.factors), "input item index")
-        self._sums = _realigned(self._sums, batch)
+        self._sums = batch.realign(self._sums)
         self._sums += self.model.factors[batch.inputs]
-        self._lengths = _realigned(self._lengths, batch)
+        self._lengths = batch.realign(self._lengths)
         self._lengths += 1
 
     def lane_scores(self) -> np.ndarray:

@@ -186,11 +186,11 @@ class LaneItems:
     The rows are flat arrays in lane-major order: lane ``k`` holds the items
     ``items[offsets[k]:offsets[k + 1]]``, ascending, with the matching
     ``weights``. It is the GRU's one gather (:meth:`feed`) and scatter
-    (:meth:`grad`) of item rows. A :class:`HiddenState` keeps each lane's
-    discounted-sum accumulator in this form, and :func:`discounted_input`
-    hands the rows, scaled to unit norm, to :func:`forward_step`; there a lane
-    holds only the items of its current session. :meth:`one_hot` maps the
-    1-of-N input, and the output layer's sampled columns, one item per lane.
+    (:meth:`grad`) of item rows, and it holds per-lane session items, which
+    :meth:`realign` moves to the next batch's lanes and :meth:`accumulate`
+    advances: each lane's discounted-sum accumulator in a :class:`HiddenState`
+    and S-POP's counts. :meth:`one_hot` maps the 1-of-N input, and the output
+    layer's sampled columns, one item per lane.
     """
 
     def __init__(self, n_items: int, offsets: np.ndarray, items: np.ndarray,
@@ -218,7 +218,7 @@ class LaneItems:
     @functools.cached_property
     def lanes(self) -> np.ndarray:
         """The lane of every entry."""
-        return np.repeat(np.arange(self.width), np.diff(self.offsets))
+        return np.arange(self.width).repeat(self.offsets[1:] - self.offsets[:-1])
 
     @functools.cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
@@ -229,13 +229,31 @@ class LaneItems:
         """The distinct items of all lanes, ascending."""
         return self._distinct[0]
 
-    def reorder(self, prev_lanes: np.ndarray) -> "LaneItems":
-        """Lane ``k`` of the result is lane ``prev_lanes[k]`` of this map."""
-        counts = np.diff(self.offsets)[prev_lanes]
+    def realign(self, batch: MiniBatch) -> "LaneItems":
+        """The map in ``batch``'s lane order, reset lanes empty."""
+        starts = batch.realign(self.offsets[:-1])
+        counts = batch.realign(self.offsets[1:]) - starts
         offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
-        idx = np.repeat(self.offsets[prev_lanes] - offsets[:-1], counts) + np.arange(offsets[-1])
+        counts.cumsum(out=offsets[1:])
+        idx = (starts - offsets[:-1]).repeat(counts) + np.arange(offsets[-1])
         return LaneItems(self.n_items, offsets, self.items[idx], self.weights[idx])
+
+    def accumulate(self, items: np.ndarray, decay: float) -> "LaneItems":
+        """Every weight times ``decay``, and 1 added to each lane's item of
+        ``items``, inserted in order where the lane does not hold it."""
+        n = self.n_items
+        # ``lane * n + item`` keys ascend through a lane-major map; a stable
+        # merge puts each input right after an entry of the same key
+        keys = np.concatenate((self.lanes * n + self.items, np.arange(len(items)) * n + items))
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        weights = np.concatenate((self.weights * decay, np.ones(len(items))))[order]
+        again = keys[1:] == keys[:-1]
+        weights[:-1][again] += 1.0
+        kept = np.concatenate(([True], ~again))
+        keys, weights = keys[kept], weights[kept]
+        offsets = np.searchsorted(keys, np.arange(len(items) + 1) * n)
+        return LaneItems(n, offsets, keys % n, weights)
 
     def feed(self, W: np.ndarray) -> np.ndarray:
         """Each lane's weighted sum of ``W``'s item rows, summed in item
@@ -285,10 +303,10 @@ class HiddenState:
     def width(self) -> int:
         return self.layers[0].shape[0]
 
-    def reorder(self, prev_lanes: np.ndarray) -> "HiddenState":
-        """Realign lane rows after the batcher replaced or dropped lanes."""
-        acc = None if self.acc is None else self.acc.reorder(prev_lanes)
-        return HiddenState([h[prev_lanes] for h in self.layers], acc)
+    def realign(self, batch: MiniBatch) -> "HiddenState":
+        """Every layer and the accumulator in ``batch``'s lane order."""
+        acc = None if self.acc is None else self.acc.realign(batch)
+        return HiddenState([batch.realign(h) for h in self.layers], acc)
 
 
 def param_shapes(n_items: int, hyper: HyperParams) -> dict[str, tuple[int, int]]:
@@ -330,7 +348,7 @@ class _LayerCache:
     c: np.ndarray
     h: np.ndarray
     h_dropped: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray | float  # 1.0 outside training
 
 
 @dataclass
@@ -376,35 +394,21 @@ def discounted_input(h: HiddenState, batch: MiniBatch, decay: float) -> LaneItem
     return its rows scaled to unit norm, the input that :func:`forward_step`
     takes in that mode.
 
-    A lane flagged in ``batch.reset_mask`` starts empty, every weight is
-    multiplied by ``decay`` and the input item's weight grows by 1, so the
-    event ``k`` steps back weighs ``decay**k`` and repeats add up. An input
+    ``h`` is aligned with ``batch`` (:meth:`HiddenState.realign`). Every
+    weight is multiplied by ``decay`` and the input item's weight grows by 1
+    (:meth:`LaneItems.accumulate`), so the event ``k`` steps back weighs
+    ``decay**k`` and repeats add up. An input
     item out of the vocabulary raises IndexError before any lane changes.
     Training and serving both build the input here, so they feed the same
     bits. A state without an accumulator (1-of-N input) gives None.
     """
-    acc = h.acc
-    if acc is None:
+    if h.acc is None:
         return None
-    n = acc.n_items
     inputs = np.asarray(batch.inputs, dtype=np.intp)
-    _check_in_vocab(inputs, n, "input item index")
-    # ``lane * n + item`` keys ascend through a lane-major map
-    keep = ~batch.reset_mask[acc.lanes]
-    keys = (acc.lanes * n + acc.items)[keep]
-    weights = acc.weights[keep] * decay
-    # an input item its lane holds gains 1; any other is inserted in order
-    new = np.arange(len(inputs)) * n + inputs
-    pos = np.searchsorted(keys, new)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == new[found]
-    weights[pos[found]] += 1.0
-    keys = np.insert(keys, pos[~found], new[~found])
-    weights = np.insert(weights, pos[~found], 1.0)
-    offsets = np.searchsorted(keys, np.arange(len(inputs) + 1) * n)
-    h.acc = state = LaneItems(n, offsets, keys % n, weights)
-    norms = np.sqrt(np.add.reduceat(weights * weights, offsets[:-1]))
-    return LaneItems(n, offsets, state.items, weights / norms[state.lanes])
+    _check_in_vocab(inputs, h.acc.n_items, "input item index")
+    h.acc = acc = h.acc.accumulate(inputs, decay)
+    norms = np.sqrt(np.add.reduceat(acc.weights * acc.weights, acc.offsets[:-1]))
+    return LaneItems(acc.n_items, acc.offsets, acc.items, acc.weights / norms[acc.lanes])
 
 
 def forward_step(
@@ -418,10 +422,11 @@ def forward_step(
 ) -> tuple[np.ndarray, HiddenState, ForwardCache]:
     """Advance every lane one event and score the sampled items.
 
-    Hidden rows flagged in ``batch.reset_mask`` are zeroed (all layers)
-    before stepping. Scores are ``tanh(h_last . W_out[cols].T)``; the
-    pre-activation scores are kept on the returned cache for losses that
-    consume linear scores. :func:`score_all` scores the full vocabulary.
+    ``h`` must be aligned with ``batch`` (:meth:`HiddenState.realign`).
+    Scores are ``tanh(h_last . W_out[cols].T)``; the pre-activation scores
+    are kept on the returned cache for losses that consume linear scores.
+    :func:`score_all` scores the full vocabulary, as serving does: it samples
+    no columns, and outside training no dropout mask is drawn.
 
     The item input is a :class:`LaneItems` map whose feed is each lane's
     weighted sum of its items' rows. ``input_vectors`` carries the unit-norm
@@ -446,8 +451,7 @@ def forward_step(
     lower: np.ndarray | None = None
     new_layers: list[np.ndarray] = []
     for li, lp in enumerate(params.layers):
-        h_prev = h.layers[li].copy()
-        h_prev[batch.reset_mask] = 0.0
+        h_prev = h.layers[li]
         # W_z/W_r/W contributions of the layer input: the items for the first
         # layer; the lower layer's output, then the items if deep, above it
         hdim = lp.hidden_size
@@ -469,17 +473,18 @@ def forward_step(
         r = sigmoid(f_r + h_prev @ lp.U_r)
         c = np.tanh(f_c + (r * h_prev) @ lp.U)
         h_new = (1.0 - z) * h_prev + z * c
-        mask = dropout_mask(h_new.shape, hyper.dropout_rate, rng, training=training)
+        mask = dropout_mask(h_new.shape, hyper.dropout_rate, rng) if training else 1.0
         h_dropped = h_new * mask
         cache.layer.append(_LayerCache(h_prev, z, r, c, h_new, h_dropped, mask))
         new_layers.append(h_new)
         lower = h_dropped
 
-    linear = lower @ params.W_out[cols].T
-    if params.b_out is not None:
-        linear = linear + params.b_out[cols]
-    cache.linear_scores = linear
-    cache.scores = np.tanh(linear)
+    cache.linear_scores = cache.scores = np.empty((len(lower), 0))
+    if cols.size:
+        linear = lower @ params.W_out[cols].T
+        if params.b_out is not None:
+            linear = linear + params.b_out[cols]
+        cache.linear_scores, cache.scores = linear, np.tanh(linear)
     return cache.scores, HiddenState(new_layers, h.acc), cache
 
 

@@ -57,8 +57,7 @@ def train_gru(
         total_loss = 0.0
         n_batches = 0
         for step, batch in enumerate(batcher):
-            if batch.width != h.width:
-                h = h.reorder(batch.prev_lanes)
+            h = h.realign(batch)
             scores, h, cache = forward_step(
                 params, batch, h, sampled_columns=batch.targets, training=True, rng=rng,
                 input_vectors=discounted_input(h, batch, hyper.input_decay),

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import pathlib
 
 import numpy as np
 import pytest
@@ -405,6 +406,22 @@ class TestEvaluateAndRecommend:
         fields = dict(kv.split("=") for kv in report_line.split("\t"))
         assert fields["recall@1"] == fields["mrr@1"]
 
+    def test_report_file_holds_the_report(self, prepared, tmp_path, capsys):
+        train, test = prepared
+        model, report = tmp_path / "pop.bin", tmp_path / "report.txt"
+        assert main(["baseline", "--kind", "pop", "--data", str(train),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(["evaluate", "--model", str(model), "--test", str(test),
+                            "--cutoff", "5", "--report-file", str(report)], capsys)
+        assert code == 0
+        fields = dict(kv.split("=") for kv in out.strip().split("\t"))
+        assert report.read_text(encoding="utf-8") == (
+            f"Metric           Value\n"
+            f"Recall@5    {float(fields['recall@5']):>10.4f}\n"
+            f"MRR@5       {float(fields['mrr@5']):>10.4f}\n"
+            f"Cases       {int(fields['n_cases']):>10d}\n")
+
     @pytest.mark.parametrize("kind", ["spop", "itemknn", "bprmf"])
     def test_all_baseline_kinds_evaluate(self, kind, prepared, tmp_path, capsys):
         train, test = prepared
@@ -691,3 +708,82 @@ class TestEvaluateAndRecommend:
             ["recommend", "--model", str(model), str(tmp_path / "nope.txt")], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NOT_UTF8 = b"SessionId,ItemId,Time\ns1,a,1\ns1,b\xff,2\ns2,a,3\ns2,c,4\n"
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "baseline", "evaluate"])
+def test_csv_not_utf8_exits_1_naming_its_line(command, prepared, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(NOT_UTF8)
+    model = tmp_path / "m.bin"
+    if command == "evaluate":
+        assert main(["baseline", "--kind", "pop", "--data", str(prepared[0]),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+    argv = {
+        "prepare": ["prepare", "--input", str(bad), "--out", str(tmp_path / "train.csv"),
+                    str(tmp_path / "test.csv"), "--split-time", "1"],
+        "train": ["train", "--data", str(bad), "--model", str(model), "--epochs", "1"],
+        "baseline": ["baseline", "--kind", "pop", "--data", str(bad), "--model", str(model)],
+        "evaluate": ["evaluate", "--model", str(model), "--test", str(bad)],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: line 3: not valid UTF-8\n"
+
+
+def test_config_not_utf8_exits_1_naming_its_line(prepared, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"epochs = 0\n# caf\xe9\n")
+    model = tmp_path / "m.bin"
+    code, out, err = run(["train", "--data", str(prepared[0]), "--model", str(model),
+                          "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg}: line 2: not valid UTF-8\n"
+    assert not model.exists()
+
+
+def test_recommend_file_not_utf8_exits_1_naming_its_line(prepared, tmp_path, capsys):
+    model = tmp_path / "pop.bin"
+    assert main(["baseline", "--kind", "pop", "--data", str(prepared[0]),
+                 "--model", str(model)]) == 0
+    query = tmp_path / "q.txt"
+    query.write_bytes(b"prod1\nprod2 \xc3(\n")
+    capsys.readouterr()
+    code, _, err = run(["recommend", "--model", str(model), str(query)], capsys)
+    assert code == 1
+    assert err == f"error: {query}: line 2: not valid UTF-8\n"
+
+
+def test_byte_order_mark_skipped(tmp_path, capsys):
+    golden = pathlib.Path(__file__).parent / "data" / "golden_clicks.csv"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+    outputs = []
+    for name, source in (("plain", golden), ("marked", marked)):
+        train, test = tmp_path / f"{name}_train.csv", tmp_path / f"{name}_test.csv"
+        code, out, err = run(["prepare", "--input", str(source), "--out", str(train),
+                              str(test), "--split-time", "1000000"], capsys)
+        assert code == 0 and err == ""
+        outputs.append((out, train.read_bytes(), test.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_byte_order_mark_skipped_in_config_and_recommend_files(prepared, tmp_path, capsys):
+    model = tmp_path / "pop.bin"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfkind = pop\n")
+    assert main(["baseline", "--config", str(cfg), "--kind", "spop", "--data", str(prepared[0]),
+                 "--model", str(model)]) == 0
+    with model.open("rb") as f:
+        assert load_model_file(f).kind == "spop"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"prod1 prod2\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    capsys.readouterr()
+    want = run(["recommend", "--model", str(model), str(plain)], capsys)
+    code, out, err = want
+    assert code == 0 and err == "" and set(out.split("\t")[:3:2]) == {"prod1", "prod2"}
+    assert run(["recommend", "--model", str(model), str(marked)], capsys) == want

@@ -13,6 +13,7 @@ from sessrec.data import (
     DataFormatError,
     EventColumns,
     ItemVocab,
+    MiniBatch,
     SessionBatcher,
     SessionStore,
     index_sessions,
@@ -444,6 +445,44 @@ class TestBatcher:
         for batch in SessionBatcher(store, 2):
             seen_resets += int(batch.reset_mask.sum())
         assert seen_resets == 3  # one per session, including initial fills
+
+
+def lanes(reset, prev):
+    """A batch that only says how its lanes follow the previous batch's."""
+    width = len(reset)
+    return MiniBatch(np.zeros(width, np.int64), np.zeros(width, np.int64),
+                     np.asarray(reset, bool), np.asarray(prev, np.int64))
+
+
+class TestRealign:
+    def test_all_reset_from_width_zero(self):
+        for rows in (np.zeros((0, 3)), np.zeros(0, dtype=np.intp)):
+            got = lanes([True, True], [0, 0]).realign(rows)
+            assert got.shape == (2,) + rows.shape[1:] and got.dtype == rows.dtype
+            assert not got.any()
+
+    def test_all_reset_ignores_the_earlier_width(self):
+        got = lanes([True], [4]).realign(np.arange(6.0).reshape(3, 2))
+        assert got.tolist() == [[0.0, 0.0]]
+
+    def test_shrinks_by_non_monotone_prev_lanes(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        got = lanes([False, False, False], [3, 0, 2]).realign(rows)
+        assert got.tolist() == [[7.0, 8.0], [1.0, 2.0], [5.0, 6.0]]
+
+    def test_reset_rows_zero(self):
+        rows = np.array([10, 20, 30], dtype=np.intp)
+        got = lanes([False, True, False], [2, 1, 0]).realign(rows)
+        assert got.tolist() == [30, 0, 10] and got.dtype == rows.dtype
+
+    @pytest.mark.parametrize("reset", [[False, False], [True, False], [True, True]])
+    def test_argument_not_written(self, reset):
+        rows = np.array([[1.0, -0.0], [3.0, np.nan]])
+        before = rows.tobytes()
+        got = lanes(reset, [0, 1]).realign(rows)
+        assert rows.tobytes() == before
+        got[:] = 9.0
+        assert rows.tobytes() == before
 
 
 @settings(max_examples=30, deadline=None)

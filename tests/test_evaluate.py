@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sessrec.baselines import bprmf_train, itemknn_train
-from sessrec.data import SessionStore
+from sessrec.data import MiniBatch, SessionStore
 from sessrec.evaluate import (BprMfScorer, EvalReport, GruScorer, ItemKnnScorer, PopScorer,
                               SessionScorer, SpopScorer, evaluate, rank_of, top_k)
 from sessrec.gru import HyperParams, init_network
@@ -249,7 +249,7 @@ class TestEvaluate:
             evaluate(PopScorer(vocab), store, k=k)
 
     def test_empty_test_flagged(self):
-        from sessrec.data import SessionStore
+        from sessrec.data import MiniBatch, SessionStore
 
         rep = evaluate(FixedScorer(np.zeros(3)), SessionStore([]), k=5)
         assert rep.n_cases == 0
@@ -350,6 +350,44 @@ class TestLanesEqualEvents:
             got = outcome(evaluate, scorer, test, **kwargs)
         want = outcome(evaluate_by_event, reference_for(kind, scorer, vocab), test, **kwargs)
         assert got == want
+
+    @pytest.mark.parametrize("kind", ["gru_one_hot", "gru_deep_discounted", "spop", "bprmf"])
+    def test_permuted_lanes_score_as_single_lanes(self, kind):
+        # the batcher only drops lanes in order; here lanes also swap places,
+        # shrink in any order and all reset at a new width. S-POP computes
+        # without BLAS, so its lanes must equal a single lane bit for bit; the
+        # GRU's and BPR-MF's products round differently at another row count,
+        # and a lane that took another lane's state would be off by far more
+        rng = np.random.default_rng(31)
+        n_items = 9
+        sessions = [list(rng.integers(0, n_items, int(rng.integers(2, 8)))) for _ in range(20)]
+        store, vocab = store_from_lists(sessions, n_items=n_items)
+        scorer = make_scorer(kind, store, vocab, seed=5)
+        single = make_scorer(kind, store, vocab, seed=5)
+        prefixes: list[list[int]] = []
+        n_checked = 0
+        for step in range(60):
+            if step % 8 == 0:
+                width = int(rng.integers(3, 8))
+                reset, prev = np.ones(width, bool), np.zeros(width, np.int64)
+            else:
+                width = int(rng.integers(1, len(prefixes) + 1))
+                prev = rng.permutation(len(prefixes))[:width]
+                reset = rng.random(width) < 0.25
+            inputs = rng.integers(0, n_items, width)
+            scorer.advance(MiniBatch(inputs, np.zeros(width, np.int64), reset, prev))
+            prefixes = [([] if reset[k] else prefixes[prev[k]]) + [int(inputs[k])]
+                        for k in range(width)]
+            scores = scorer.lane_scores()
+            for k in range(width):
+                alone = fed(single, prefixes[k])
+                if kind == "spop":
+                    assert scores[k].tobytes() == alone.tobytes(), prefixes[k]
+                else:
+                    np.testing.assert_allclose(scores[k], alone, rtol=1e-13, atol=0,
+                                               err_msg=str(prefixes[k]))
+                n_checked += 1
+        assert n_checked > 100
 
     @pytest.mark.parametrize("prefilter_n", [None, 1, 4, 9])
     def test_nan_error_names_the_first_case_in_case_order(self, prefilter_n):

@@ -127,7 +127,7 @@ class TestForwardStep:
         batch = make_batch([1, 2, 3], [4, 5, 6], reset=[True, True, True])
         dirty = HiddenState([rng.standard_normal((3, 6))])
         fresh = HiddenState.zeros(self.params, 3)
-        s1, h1, _ = forward_step(self.params, batch, dirty, batch.targets)
+        s1, h1, _ = forward_step(self.params, batch, dirty.realign(batch), batch.targets)
         batch2 = make_batch([1, 2, 3], [4, 5, 6])
         s2, h2, _ = forward_step(self.params, batch2, fresh, batch2.targets)
         np.testing.assert_array_equal(s1, s2)
@@ -285,10 +285,13 @@ class TestBackwardStep:
         h = HiddenState.zeros(params, b)
         for inputs, reset in (([2, 1, 3], [1, 1, 1]), ([5, 1, 6], [0, 0, 0]),
                               ([2, 4, 3], [0, 0, 0])):
-            discounted_input(h, make_batch(inputs, [0] * b, reset), hyper.input_decay)
+            prefix = make_batch(inputs, [0] * b, reset)
+            h = h.realign(prefix)
+            discounted_input(h, prefix, hyper.input_decay)
         batch = make_batch([2, 1, 5], [4, 6, 0], reset=[False, False, True])
-        input_vectors = discounted_input(h, batch, hyper.input_decay)
         h.layers = [rng.standard_normal((b, hidden)) * 0.4 for _ in range(n_layers)]
+        h = h.realign(batch)
+        input_vectors = discounted_input(h, batch, hyper.input_decay)
         mask = negatives_mask(batch.targets)
 
         def loss_value():
@@ -369,14 +372,13 @@ class TestDiscountedInput:
         for step in range(40):
             width = 3 if step < 30 else 2
             prev = rng.permutation(3)[:width] if width != h.width else np.arange(width)
-            if width != h.width:
-                h = h.reorder(prev)
             reset = rng.random(width) < 0.2 if step else np.ones(width, bool)
             inputs = rng.integers(0, n_items, width)
             prefixes = [[] if reset[k] else prefixes[prev[k]] for k in range(width)]
             for k in range(width):
                 prefixes[k] = prefixes[k] + [int(inputs[k])]
             batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
+            h = h.realign(batch)
             rows = to_dense(discounted_input(h, batch, decay))
             for k in range(width):
                 np.testing.assert_allclose(
@@ -408,12 +410,11 @@ class TestDiscountedInput:
         for step in range(60):
             width = 3 if step < 45 else 2
             prev = np.array([2, 0]) if width != h.width else np.arange(width)
-            if width != h.width:
-                h = h.reorder(prev)
             reset = rng.random(width) < 0.06 if step else np.ones(width, bool)
             inputs = rng.integers(0, n_items, width)
-            rows = discounted_input(h, MiniBatch(inputs, np.zeros(width, np.int64), reset, prev),
-                                    decay)
+            batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
+            h = h.realign(batch)
+            rows = discounted_input(h, batch, decay)
             for arr in (rows.offsets.astype(np.int64), rows.items.astype(np.int64),
                         rows.weights):
                 digest.update(arr.tobytes())
@@ -440,12 +441,13 @@ class TestSparseInputOracle:
             if new_width != width:
                 prev = np.array(data.draw(st.permutations(range(width)), label="prev"))
                 prev = prev[:new_width]
-                h, acc, width = h.reorder(prev), acc[prev], new_width
+                acc, width = acc[prev], new_width
             flags = st.lists(st.booleans(), min_size=width, max_size=width)
             reset = np.array(data.draw(flags, label="reset")) if step else np.ones(width, bool)
             items = st.lists(st.integers(0, n_items - 1), min_size=width, max_size=width)
             inputs = np.array(data.draw(items, label="inputs"), dtype=np.int64)
             batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
+            h = h.realign(batch)
 
             rows = discounted_input(h, batch, decay)
             want = dense_discounted_input(acc, batch, decay)
