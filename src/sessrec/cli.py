@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import dataclasses
 import logging
-import os
 import sys
 
 from . import baselines, data, modelio, training
@@ -106,22 +105,11 @@ def _text_file(path: str):
             raise data.DataFormatError(f"{path}: line {line_no}: not valid UTF-8") from None
 
 
-def _data_path(path: str) -> str:
-    if os.path.isabs(path) or os.path.exists(path):
-        return path
-    base = os.environ.get("SESSREC_DATA_DIR")
-    if base:
-        cand = os.path.join(base, path)
-        if os.path.exists(cand):
-            return cand
-    return path
-
-
 def _load_store(path: str, max_len: int = data.DEFAULT_MAX_SESSION_LEN,
                 iso_time: bool = False, vocab: data.ItemVocab | None = None):
     """Sessions of a CSV, indexed as :func:`data.index_sessions` does. A CSV
     to build a vocabulary from must hold a usable session."""
-    with _text_file(_data_path(path)) as f:
+    with _text_file(path) as f:
         events = data.read_events_csv(f, iso_time=iso_time)
     store, store_vocab, dropped = data.index_sessions(events, vocab, max_len)
     if vocab is None and len(store) == 0:

@@ -60,9 +60,6 @@ class ItemVocab:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.index
-
 
 @dataclass
 class Session:

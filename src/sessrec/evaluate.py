@@ -21,8 +21,7 @@ from .baselines import (
     pop_score,
 )
 from .data import MiniBatch, SessionBatcher, SessionStore
-from .gru import (HiddenState, LaneItems, NetworkParams, _check_in_vocab, discounted_input,
-                  forward_step, score_all)
+from .gru import HiddenState, LaneItems, NetworkParams, _check_in_vocab, forward_step, score_all
 
 __all__ = [
     "EVAL_LANES",
@@ -156,11 +155,8 @@ class GruScorer(SessionScorer):
         self._h = HiddenState.zeros(params, 0)
 
     def advance(self, batch: MiniBatch) -> None:
-        h = self._h.realign(batch)
-        _, self._h, _ = forward_step(
-            self.params, batch, h, sampled_columns=np.empty(0, dtype=np.intp),
-            input_vectors=discounted_input(h, batch, self.params.hyper.input_decay),
-        )
+        _, self._h, _ = forward_step(self.params, batch, self._h,
+                                     sampled_columns=np.empty(0, dtype=np.intp))
 
     def lane_scores(self) -> np.ndarray:
         return score_all(self.params, self._h.layers[-1])

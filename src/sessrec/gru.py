@@ -2,7 +2,10 @@
 
 One or more GRU layers over 1-of-N (or discounted weighted-sum) session
 input, with a tanh-activated linear output layer scoring items. Forward
-stepping works on session-parallel mini-batches; the backward pass produces
+stepping works on session-parallel mini-batches: one :func:`forward_step`
+call per batch realigns the lanes' state, resetting the lanes that start a
+new session, builds the batch's input and advances every lane, for
+training and serving alike. The backward pass produces
 gradients with the hidden state carried in from the previous step treated
 as constant (truncated backpropagation, horizon one). Every item-indexed
 read and write goes through one sparse map of item weights per lane
@@ -40,7 +43,6 @@ __all__ = [
     "hyper_field_types",
     "param_shapes",
     "init_network",
-    "discounted_input",
     "forward_step",
     "backward_step",
     "score_all",
@@ -188,9 +190,10 @@ class LaneItems:
     ``weights``. It is the GRU's one gather (:meth:`feed`) and scatter
     (:meth:`grad`) of item rows, and it holds per-lane session items, which
     :meth:`realign` moves to the next batch's lanes and :meth:`accumulate`
-    advances: each lane's discounted-sum accumulator in a :class:`HiddenState`
-    and S-POP's counts. :meth:`one_hot` maps the 1-of-N input, and the output
-    layer's sampled columns, one item per lane.
+    advances: each lane's discounted-sum accumulator in a :class:`HiddenState`,
+    which :meth:`unit_norm` scales into the input, and S-POP's counts.
+    :meth:`one_hot` maps the 1-of-N input, and the output layer's sampled
+    columns, one item per lane.
     """
 
     def __init__(self, n_items: int, offsets: np.ndarray, items: np.ndarray,
@@ -255,6 +258,12 @@ class LaneItems:
         offsets = np.searchsorted(keys, np.arange(len(items) + 1) * n)
         return LaneItems(n, offsets, keys % n, weights)
 
+    def unit_norm(self) -> "LaneItems":
+        """The map with each lane's weights scaled to unit Euclidean norm.
+        Every lane must hold an item."""
+        norms = np.sqrt(np.add.reduceat(self.weights * self.weights, self.offsets[:-1]))
+        return LaneItems(self.n_items, self.offsets, self.items, self.weights / norms[self.lanes])
+
     def feed(self, W: np.ndarray) -> np.ndarray:
         """Each lane's weighted sum of ``W``'s item rows, summed in item
         order; shape (width, columns of ``W``). Every lane must hold an item."""
@@ -282,8 +291,10 @@ class HiddenState:
     """Per-layer hidden activations, one row per active session lane.
 
     In discounted-sum input mode ``acc`` holds each lane's input accumulator,
-    the weights of its session's items (see :func:`discounted_input`), as a
-    :class:`LaneItems` map; it is None in 1-of-N mode.
+    a :class:`LaneItems` map of its session's items: the event ``k`` steps
+    back weighs ``decay**k`` and repeats add up. It is None in 1-of-N mode.
+    :func:`forward_step` realigns a state to its batch and returns a new one;
+    it never writes into the state it is given.
     """
 
     def __init__(self, layers: list[np.ndarray], acc: LaneItems | None = None):
@@ -389,28 +400,6 @@ def _check_in_vocab(idx: np.ndarray, n_items: int, what: str) -> None:
         raise IndexError(f"{what} out of vocabulary: {bad[0]}")
 
 
-def discounted_input(h: HiddenState, batch: MiniBatch, decay: float) -> LaneItems | None:
-    """Advance each lane's discounted-sum accumulator by the batch's event and
-    return its rows scaled to unit norm, the input that :func:`forward_step`
-    takes in that mode.
-
-    ``h`` is aligned with ``batch`` (:meth:`HiddenState.realign`). Every
-    weight is multiplied by ``decay`` and the input item's weight grows by 1
-    (:meth:`LaneItems.accumulate`), so the event ``k`` steps back weighs
-    ``decay**k`` and repeats add up. An input
-    item out of the vocabulary raises IndexError before any lane changes.
-    Training and serving both build the input here, so they feed the same
-    bits. A state without an accumulator (1-of-N input) gives None.
-    """
-    if h.acc is None:
-        return None
-    inputs = np.asarray(batch.inputs, dtype=np.intp)
-    _check_in_vocab(inputs, h.acc.n_items, "input item index")
-    h.acc = acc = h.acc.accumulate(inputs, decay)
-    norms = np.sqrt(np.add.reduceat(acc.weights * acc.weights, acc.offsets[:-1]))
-    return LaneItems(acc.n_items, acc.offsets, acc.items, acc.weights / norms[acc.lanes])
-
-
 def forward_step(
     params: NetworkParams,
     batch: MiniBatch,
@@ -418,36 +407,40 @@ def forward_step(
     sampled_columns: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    input_vectors: np.ndarray | None = None,
 ) -> tuple[np.ndarray, HiddenState, ForwardCache]:
     """Advance every lane one event and score the sampled items.
 
-    ``h`` must be aligned with ``batch`` (:meth:`HiddenState.realign`).
+    ``h`` is the state the previous step returned, in its lane order: the
+    step first realigns it to ``batch`` (:meth:`HiddenState.realign`), which
+    starts reset lanes afresh. It then builds the layer-0 input, a
+    :class:`LaneItems` map whose feed is each lane's weighted sum of its
+    items' rows: in 1-of-N mode the batch's input item alone per lane; in
+    discounted-sum mode the accumulator advanced by the input item
+    (:meth:`LaneItems.accumulate` at ``input_decay``) and scaled to unit
+    norm. Training and serving both step here, so they feed the same bits.
+    The returned state carries the advanced accumulator; ``h`` is left as it
+    was, also when an index out of the vocabulary raises IndexError.
+
     Scores are ``tanh(h_last . W_out[cols].T)``; the pre-activation scores
     are kept on the returned cache for losses that consume linear scores.
     :func:`score_all` scores the full vocabulary, as serving does: it samples
     no columns, and outside training no dropout mask is drawn.
-
-    The item input is a :class:`LaneItems` map whose feed is each lane's
-    weighted sum of its items' rows. ``input_vectors`` carries the unit-norm
-    discounted-sum rows (see :func:`discounted_input`) and is required in
-    that mode; in 1-of-N mode it is ignored and the map holds the batch's
-    input item alone per lane. The returned state keeps ``h``'s accumulator.
     """
     hyper = params.hyper
     items = np.asarray(batch.inputs, dtype=np.intp)
     _check_in_vocab(items, params.n_items, "input item index")
     cols = np.asarray(sampled_columns, dtype=np.intp)
     _check_in_vocab(cols, params.n_items, "sampled column")
-    if hyper.input_mode == "discounted_sum":
-        if input_vectors is None:
-            raise ValueError("discounted_sum input mode requires input_vectors")
-    else:
-        input_vectors = LaneItems.one_hot(params.n_items, items)
     if training and hyper.dropout_rate > 0.0 and rng is None:
         raise ValueError("training with dropout requires an rng")
+    h = h.realign(batch)
+    if hyper.input_mode == "discounted_sum":
+        acc = h.acc.accumulate(items, hyper.input_decay)
+        input_vectors = acc.unit_norm()
+    else:
+        acc, input_vectors = None, LaneItems.one_hot(params.n_items, items)
 
-    cache = ForwardCache(input_vectors=input_vectors, sampled_columns=cols)
+    cache = ForwardCache(input_vectors, cols)
     lower: np.ndarray | None = None
     new_layers: list[np.ndarray] = []
     for li, lp in enumerate(params.layers):
@@ -485,7 +478,7 @@ def forward_step(
         if params.b_out is not None:
             linear = linear + params.b_out[cols]
         cache.linear_scores, cache.scores = linear, np.tanh(linear)
-    return cache.scores, HiddenState(new_layers, h.acc), cache
+    return cache.scores, HiddenState(new_layers, acc), cache
 
 
 def backward_step(

@@ -30,16 +30,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def uniform_init(
     rows: int,
     cols: int,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     scale: float | None = None,
 ) -> np.ndarray:
-    """Weight matrix with entries uniform on [-x, x].
+    """Weight matrix with entries uniform on [-x, x], drawn from ``rng``.
 
     The default bound is x = sqrt(6 / (rows + cols)), a symmetric
     fan-based rule; pass ``scale`` to override it.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"uniform_init needs positive dims, got ({rows}, {cols})")
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     x = math.sqrt(6.0 / (rows + cols)) if scale is None else float(scale)
     return rng.uniform(-x, x, size=(rows, cols))

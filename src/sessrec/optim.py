@@ -108,16 +108,14 @@ def dropout_mask(
     shape: tuple[int, ...],
     rate: float,
     rng: np.random.Generator | None,
-    training: bool = True,
 ) -> np.ndarray:
     """Inverted-dropout multiplier: keep with prob 1-rate, scale kept by 1/(1-rate).
 
-    At inference (``training=False``) the mask is all ones, so no rescaling
-    is ever needed at serving time.
+    Kept units are rescaled in training, so serving draws no mask at all.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return np.ones(shape)
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)

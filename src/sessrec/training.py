@@ -7,8 +7,7 @@ import logging
 import numpy as np
 
 from .data import ItemVocab, SessionStore, SessionBatcher
-from .gru import (HiddenState, HyperParams, NetworkParams, backward_step, discounted_input,
-                  forward_step, init_network)
+from .gru import HiddenState, HyperParams, NetworkParams, backward_step, forward_step, init_network
 from .linalg import make_rng
 from .losses import LOSSES, negatives_mask
 from .optim import OptimState, adagrad_update, rmsprop_update
@@ -57,11 +56,8 @@ def train_gru(
         total_loss = 0.0
         n_batches = 0
         for step, batch in enumerate(batcher):
-            h = h.realign(batch)
-            scores, h, cache = forward_step(
-                params, batch, h, sampled_columns=batch.targets, training=True, rng=rng,
-                input_vectors=discounted_input(h, batch, hyper.input_decay),
-            )
+            scores, h, cache = forward_step(params, batch, h, sampled_columns=batch.targets,
+                                            training=True, rng=rng)
             if batch.width < 2:
                 continue  # no negatives available
             mask = negatives_mask(batch.targets)

@@ -757,6 +757,34 @@ def test_recommend_file_not_utf8_exits_1_naming_its_line(prepared, tmp_path, cap
     assert err == f"error: {query}: line 2: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("command", ["prepare", "baseline", "evaluate"])
+def test_relative_path_not_looked_up_elsewhere(command, prepared, tmp_path, capsys,
+                                               monkeypatch):
+    # a relative name that is not in the working directory names no file, even
+    # where an environment variable points at a directory that holds it
+    model = tmp_path / "m.bin"
+    assert main(["baseline", "--kind", "pop", "--data", str(prepared[0]),
+                 "--model", str(model)]) == 0
+    capsys.readouterr()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "clicks.csv").write_bytes(prepared[0].read_bytes())
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("SESSREC_DATA_DIR", str(elsewhere))
+    argv = {
+        "prepare": ["prepare", "--input", "clicks.csv", "--out", str(tmp_path / "a.csv"),
+                    str(tmp_path / "b.csv"), "--split-time", "1"],
+        "baseline": ["baseline", "--kind", "pop", "--data", "clicks.csv",
+                     "--model", str(tmp_path / "other.bin")],
+        "evaluate": ["evaluate", "--model", str(model), "--test", "clicks.csv"],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "clicks.csv" in err and err.count("\n") == 1
+
+
 def test_byte_order_mark_skipped(tmp_path, capsys):
     golden = pathlib.Path(__file__).parent / "data" / "golden_clicks.csv"
     marked = tmp_path / "marked.csv"

@@ -103,7 +103,7 @@ class TestIngest:
         ))
         assert len(store) == 1
         assert len(store.ordered()[0]) == 3
-        assert "q" not in vocab
+        assert "q" not in vocab.index
         assert vocab.popularity.sum() == 3
 
     def test_events_sorted_by_timestamp(self):
@@ -196,7 +196,7 @@ class TestSplit:
         ]
         store, vocab = ingest_events(read(events))
         train, tv, test = split_train_test(store, vocab, boundary=50)
-        assert "X" not in tv
+        assert "X" not in tv.index
         sess = test.ordered()[0]
         assert [tv.items[i] for i in sess.items] == ["A", "B"]
 

@@ -482,8 +482,9 @@ class TestTrainServeInput:
             real = module.forward_step
 
             def forward_step(*args, **kwargs):
-                record.append((args[1], kwargs["input_vectors"]))
-                return real(*args, **kwargs)
+                out = real(*args, **kwargs)
+                record.append((args[1], out[2].input_vectors))
+                return out
 
             monkeypatch.setattr(module, "forward_step", forward_step)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -14,7 +15,6 @@ from sessrec.gru import (
     LaneItems,
     NetworkParams,
     backward_step,
-    discounted_input,
     forward_step,
     init_network,
     score_all,
@@ -57,17 +57,18 @@ def cell_by_hand(x, h, p):
 def gru_cell(x, h, p):
     """One forward_step of a one-layer network whose input vector is x.
 
-    Discounted-sum mode feeds ``input_vectors`` as given, so x is arbitrary:
-    it goes in as a one-lane map holding every item. Dropout is 0, so the
-    step is the GRU cell alone.
+    x is arbitrary: it goes in as the one item of a one-item catalog whose
+    ``W_*`` rows are ``x @ W_*``, and the 1-of-N input feeds that row at
+    weight 1. Dropout is 0, so the step is the GRU cell alone.
     """
-    n = len(x)
-    hyper = HyperParams(hidden_size=len(h), dropout_rate=0.0, input_mode="discounted_sum")
-    params = NetworkParams(n, [p], np.zeros((n, len(h))), None, hyper)
-    x_map = LaneItems(n, np.array([0, n]), np.arange(n), np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    hyper = HyperParams(hidden_size=len(h), dropout_rate=0.0)
+    item = dataclasses.replace(p, W_z=(x @ p.W_z)[None, :], W_r=(x @ p.W_r)[None, :],
+                               W=(x @ p.W)[None, :])
+    params = NetworkParams(1, [item], np.zeros((1, len(h))), None, hyper)
     _, state, _ = forward_step(
         params, make_batch([0], [0]), HiddenState([np.asarray(h, dtype=float)[None, :]]),
-        np.empty(0, dtype=np.intp), input_vectors=x_map,
+        np.empty(0, dtype=np.intp),
     )
     return state.layers[0][0]
 
@@ -127,7 +128,7 @@ class TestForwardStep:
         batch = make_batch([1, 2, 3], [4, 5, 6], reset=[True, True, True])
         dirty = HiddenState([rng.standard_normal((3, 6))])
         fresh = HiddenState.zeros(self.params, 3)
-        s1, h1, _ = forward_step(self.params, batch, dirty.realign(batch), batch.targets)
+        s1, h1, _ = forward_step(self.params, batch, dirty, batch.targets)
         batch2 = make_batch([1, 2, 3], [4, 5, 6])
         s2, h2, _ = forward_step(self.params, batch2, fresh, batch2.targets)
         np.testing.assert_array_equal(s1, s2)
@@ -155,6 +156,32 @@ class TestForwardStep:
         pscores, ph_next, _ = forward_step(self.params, pbatch, ph, pbatch.targets)
         np.testing.assert_array_equal(pscores, scores[np.ix_(perm, perm)])
         np.testing.assert_array_equal(ph_next.layers[0], h_next.layers[0][perm])
+
+    @pytest.mark.parametrize("input_mode", ["one_hot", "discounted_sum"])
+    def test_state_given_is_left_alone(self, input_mode):
+        # a reset lane and permuted, narrowing lanes: the step realigns and
+        # advances a new state, so the same (state, batch) steps the same twice
+        params = init_network(10, HyperParams(hidden_size=6, n_layers=2, dropout_rate=0.0,
+                                              seed=8, input_mode=input_mode, input_decay=0.7))
+        h = HiddenState.zeros(params, 4)
+        for inputs in ([1, 2, 3, 4], [5, 2, 2, 9]):
+            _, h, _ = forward_step(params, make_batch(inputs, [0] * 4), h, np.array([0]))
+        batch = MiniBatch(np.array([7, 1, 3]), np.array([0, 4, 6]),
+                          np.array([False, True, False]), np.array([3, 0, 1]))
+
+        def state_bytes(state):
+            acc = [] if state.acc is None else [state.acc.offsets, state.acc.items,
+                                                state.acc.weights]
+            return [a.tobytes() for a in state.layers + acc]
+
+        before = state_bytes(h)
+        s1, h1, c1 = forward_step(params, batch, h, batch.targets)
+        s2, h2, c2 = forward_step(params, batch, h, batch.targets)
+        assert state_bytes(h) == before
+        assert (h1.acc is None) == (input_mode == "one_hot") and h1.width == 3
+        assert s1.tobytes() == s2.tobytes()
+        assert state_bytes(h1) == state_bytes(h2)
+        assert to_dense(c1.input_vectors).tobytes() == to_dense(c2.input_vectors).tobytes()
 
     def test_sampled_column_out_of_vocab_rejected(self):
         batch = make_batch([0], [0])
@@ -286,20 +313,19 @@ class TestBackwardStep:
         for inputs, reset in (([2, 1, 3], [1, 1, 1]), ([5, 1, 6], [0, 0, 0]),
                               ([2, 4, 3], [0, 0, 0])):
             prefix = make_batch(inputs, [0] * b, reset)
-            h = h.realign(prefix)
-            discounted_input(h, prefix, hyper.input_decay)
+            _, h, _ = forward_step(params, prefix, h, prefix.targets)
         batch = make_batch([2, 1, 5], [4, 6, 0], reset=[False, False, True])
         h.layers = [rng.standard_normal((b, hidden)) * 0.4 for _ in range(n_layers)]
-        h = h.realign(batch)
-        input_vectors = discounted_input(h, batch, hyper.input_decay)
         mask = negatives_mask(batch.targets)
 
         def loss_value():
-            scores, _, cache = forward_step(params, batch, h, batch.targets,
-                                            input_vectors=input_vectors)
+            scores, _, cache = forward_step(params, batch, h, batch.targets)
             return LOSSES["top1"](scores, mask), cache
 
         (_, d), cache = loss_value()
+        want = [closed_form_input(p, hyper.input_decay, n_items)
+                for p in ([2, 5, 2, 2], [1, 1, 4, 1], [5])]
+        np.testing.assert_allclose(to_dense(cache.input_vectors), want, rtol=1e-13)
         compact = backward_step(params, cache, d)
         np.testing.assert_array_equal(compact.rows["layers.0.W"], [1, 2, 4, 5])
         grads = dense_grads(params, compact)
@@ -330,11 +356,24 @@ def closed_form_input(prefix, decay, n_items):
     return v / np.linalg.norm(v)
 
 
+def dsum_network(n_items, decay):
+    """A discounted-sum network of hidden size 1, stepped for its input map."""
+    return init_network(n_items, HyperParams(hidden_size=1, seed=0,
+                                             input_mode="discounted_sum", input_decay=decay))
+
+
+def input_step(params, h, batch):
+    """forward_step's layer-0 input map and the state it returns."""
+    _, h, cache = forward_step(params, batch, h, np.empty(0, dtype=np.intp))
+    return cache.input_vectors, h
+
+
 def shared_input(prefix, decay, n_items):
-    """discounted_input's row after feeding ``prefix`` to one fresh lane."""
-    h = HiddenState([np.zeros((1, 1))], LaneItems.empty(n_items, 1))
+    """forward_step's input row after feeding ``prefix`` to one fresh lane."""
+    params = dsum_network(n_items, decay)
+    h = HiddenState.zeros(params, 1)
     for item in prefix:
-        v = discounted_input(h, make_batch([item], [0]), decay)
+        v, h = input_step(params, h, make_batch([item], [0]))
     return to_dense(v)[0]
 
 
@@ -367,7 +406,8 @@ class TestDiscountedInput:
         # three lanes over changing sessions; each row must be the closed form
         # of its own lane's prefix since the lane's last reset
         n_items, decay = 7, 0.6
-        h = HiddenState([np.zeros((3, 1))], LaneItems.empty(n_items, 3))
+        params = dsum_network(n_items, decay)
+        h = HiddenState.zeros(params, 3)
         prefixes = [[], [], []]
         for step in range(40):
             width = 3 if step < 30 else 2
@@ -378,8 +418,8 @@ class TestDiscountedInput:
             for k in range(width):
                 prefixes[k] = prefixes[k] + [int(inputs[k])]
             batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
-            h = h.realign(batch)
-            rows = to_dense(discounted_input(h, batch, decay))
+            rows, h = input_step(params, h, batch)
+            rows = to_dense(rows)
             for k in range(width):
                 np.testing.assert_allclose(
                     rows[k], closed_form_input(prefixes[k], decay, n_items), rtol=1e-13)
@@ -388,15 +428,19 @@ class TestDiscountedInput:
         params = init_network(5, HyperParams(hidden_size=3, seed=1))
         h = HiddenState.zeros(params, 2)
         assert h.acc is None
-        assert discounted_input(h, make_batch([0, 1], [1, 2]), 0.5) is None
+        rows, h = input_step(params, h, make_batch([4, 1], [1, 2]))
+        assert h.acc is None
+        assert rows.offsets.tolist() == [0, 1, 2] and rows.items.tolist() == [4, 1]
+        assert rows.weights.tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_out_of_vocabulary_input_leaves_lanes_unchanged(self, bad):
-        h = HiddenState([np.zeros((2, 1))], LaneItems.empty(6, 2))
-        discounted_input(h, make_batch([2, 3], [0, 0], reset=[True, True]), 0.5)
+        params = dsum_network(6, 0.5)
+        _, h = input_step(params, HiddenState.zeros(params, 2),
+                          make_batch([2, 3], [0, 0], reset=[True, True]))
         before = to_dense(h.acc)
         with pytest.raises(IndexError, match="input item index out of vocabulary"):
-            discounted_input(h, make_batch([1, bad], [0, 0]), 0.5)
+            input_step(params, h, make_batch([1, bad], [0, 0]))
         assert to_dense(h.acc).tobytes() == before.tobytes()
 
     def test_rows_pinned(self):
@@ -405,7 +449,8 @@ class TestDiscountedInput:
         # involved, so the bytes hold on every machine.
         rng = np.random.default_rng(2024)
         n_items, decay = 40, 0.8
-        h = HiddenState([np.zeros((3, 1))], LaneItems.empty(n_items, 3))
+        params = dsum_network(n_items, decay)
+        h = HiddenState.zeros(params, 3)
         digest = hashlib.sha256()
         for step in range(60):
             width = 3 if step < 45 else 2
@@ -413,8 +458,7 @@ class TestDiscountedInput:
             reset = rng.random(width) < 0.06 if step else np.ones(width, bool)
             inputs = rng.integers(0, n_items, width)
             batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
-            h = h.realign(batch)
-            rows = discounted_input(h, batch, decay)
+            rows, h = input_step(params, h, batch)
             for arr in (rows.offsets.astype(np.int64), rows.items.astype(np.int64),
                         rows.weights):
                 digest.update(arr.tobytes())
@@ -433,7 +477,8 @@ class TestSparseInputOracle:
     def test_map_matches_dense_definition(self, data, decay, n_items, width, seed):
         rng = np.random.default_rng(seed)
         W = rng.standard_normal((n_items, 4))
-        h = HiddenState([np.zeros((width, 1))], LaneItems.empty(n_items, width))
+        params = dsum_network(n_items, decay)
+        h = HiddenState.zeros(params, width)
         acc = np.zeros((width, n_items))
         for step in range(data.draw(st.integers(1, 12), label="steps")):
             new_width = data.draw(st.integers(1, width), label="width")
@@ -447,9 +492,8 @@ class TestSparseInputOracle:
             items = st.lists(st.integers(0, n_items - 1), min_size=width, max_size=width)
             inputs = np.array(data.draw(items, label="inputs"), dtype=np.int64)
             batch = MiniBatch(inputs, np.zeros(width, np.int64), reset, prev)
-            h = h.realign(batch)
 
-            rows = discounted_input(h, batch, decay)
+            rows, h = input_step(params, h, batch)
             want = dense_discounted_input(acc, batch, decay)
             for m in (h.acc, rows):
                 keys = m.lanes * n_items + m.items

@@ -44,19 +44,19 @@ class TestNonlinearities:
 
 class TestUniformInit:
     def test_closed_form_bound(self):
-        m = uniform_init(100, 50, seed=0)
+        m = uniform_init(100, 50, make_rng(0))
         assert math.isclose(math.sqrt(6 / 150), 0.2)
         assert np.all(np.abs(m) <= 0.2)
 
     def test_deterministic(self):
-        a = uniform_init(7, 3, seed=99)
-        b = uniform_init(7, 3, seed=99)
+        a = uniform_init(7, 3, make_rng(99))
+        b = uniform_init(7, 3, make_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_sample_mean_within_3_sigma(self):
         # pool ~1e5 samples; uniform on [-x, x] has sd x/sqrt(3)
         samples = np.concatenate(
-            [uniform_init(3, 3, seed=s).ravel() for s in range(11112)]
+            [uniform_init(3, 3, make_rng(s)).ravel() for s in range(11112)]
         )
         x = math.sqrt(6 / 6)
         sigma_mean = (x / math.sqrt(3)) / math.sqrt(len(samples))
@@ -64,16 +64,16 @@ class TestUniformInit:
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 17), (40, 2)])
     def test_bound_every_shape(self, shape):
-        m = uniform_init(*shape, seed=5)
+        m = uniform_init(*shape, make_rng(5))
         assert np.all(np.abs(m) <= math.sqrt(6 / sum(shape)))
 
     def test_scale_override(self):
-        m = uniform_init(10, 10, seed=1, scale=0.01)
+        m = uniform_init(10, 10, make_rng(1), scale=0.01)
         assert np.all(np.abs(m) <= 0.01)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            uniform_init(0, 4, seed=0)
+            uniform_init(0, 4, make_rng(0))
 
 
 def test_rng_stream_is_stable():

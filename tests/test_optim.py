@@ -155,12 +155,7 @@ class TestTrainingStepEquivalence:
 
 class TestDropout:
     def test_rate_zero_all_ones(self):
-        for training in (True, False):
-            m = dropout_mask((4, 4), 0.0, make_rng(0), training=training)
-            np.testing.assert_array_equal(m, 1.0)
-
-    def test_inference_all_ones(self):
-        m = dropout_mask((4, 4), 0.9, make_rng(0), training=False)
+        m = dropout_mask((4, 4), 0.0, make_rng(0))
         np.testing.assert_array_equal(m, 1.0)
 
     def test_keep_fraction_within_3_sigma(self):
