@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sessrec.data import ItemVocab, Session, SessionStore
+from sessrec.linalg import make_rng, sigmoid
 
 
 def store_from_lists(session_items, n_items=None):
@@ -45,6 +46,31 @@ def bprmf_prefix_scores(model, prefix):
     for item in prefix:
         total += model.factors[item]
     return (total / len(prefix)) @ model.factors.T
+
+
+def bprmf_train_by_pair(store, n_items, d=100, epochs=10, lr=0.05, reg=1e-5, seed=42):
+    """BPR-MF's fit by its definition: SGD one (prefix, positive, negative)
+    pair at a time, in session order, with one scalar draw per negative.
+    Returns the factors."""
+    rng = make_rng(seed)
+    f = rng.uniform(-0.05, 0.05, size=(n_items, d))
+    bounds = store.offsets.tolist()
+    for _ in range(epochs):
+        for a, b in zip(bounds, bounds[1:]):
+            items = store.items[a:b]
+            for t in range(1, len(items)):
+                prefix = items[:t]
+                i = items[t]
+                j = int(rng.integers(n_items))
+                u = f[prefix].mean(axis=0)
+                x = u @ (f[i] - f[j])
+                g = sigmoid(-x)  # d(-log sigma(x))/dx, negated for descent
+                fi, fj = f[i].copy(), f[j].copy()
+                f[i] += lr * (g * u - reg * fi)
+                f[j] += lr * (-g * u - reg * fj)
+                du = g * (fi - fj) / len(prefix)
+                np.add.at(f, prefix, lr * (du - reg * f[prefix]))
+    return f
 
 
 def dense_grads(params, grads):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from sessrec.baselines import BprMfModel, bprmf_train, itemknn_score, itemknn_train, pop_score
+from sessrec.baselines import (BprMfModel, bprmf_train, itemknn_score, itemknn_train, pair_waves,
+                               pop_score)
 from sessrec.evaluate import BprMfScorer, SpopScorer, rank_of
 
-from conftest import bprmf_prefix_scores, fed, spop_prefix_scores, store_from_lists
+from conftest import (bprmf_prefix_scores, bprmf_train_by_pair, fed, spop_prefix_scores,
+                      store_from_lists)
 
 
 class TestPop:
@@ -245,7 +247,68 @@ class TestItemKnn:
             itemknn_train(store, 2, **kwargs)
 
 
+# (n_items, sessions) for BPR-MF. Catalogs of 1-3 items make negatives equal
+# to their positive or inside their prefix; larger ones, with sessions of up
+# to 12 events, put prefixes of different lengths, 8 or more among them, into
+# one wave.
+bpr_corpora = st.one_of(st.integers(1, 3), st.integers(4, 40)).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=12), max_size=15),
+))
+
+
 class TestBprMf:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=bpr_corpora, epochs=st.integers(0, 3), d=st.integers(1, 8),
+           lr=st.floats(0.01, 3.0), reg=st.sampled_from([0.0, 1e-5, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(corpus=(1, []), epochs=2, d=3, lr=0.05, reg=1e-5, seed=0)  # no sessions
+    @example(corpus=(1, [[0, 0, 0], [0]]), epochs=3, d=2, lr=3.0, reg=0.0, seed=1)
+    @example(corpus=(3, [[0, 1, 0, 2, 1], [2], [2, 2]]), epochs=3, d=1, lr=1.0, reg=0.1, seed=2)
+    def test_fit_equals_one_pair_at_a_time(self, corpus, epochs, d, lr, reg, seed):
+        n_items, sessions = corpus
+        store, _ = store_from_lists(sessions, n_items=n_items)
+        got = bprmf_train(store, n_items, d=d, epochs=epochs, lr=lr, reg=reg, seed=seed)
+        want = bprmf_train_by_pair(store, n_items, d=d, epochs=epochs, lr=lr, reg=reg, seed=seed)
+        assert got.factors.tobytes() == want.tobytes()
+
+    # A larger catalog puts many pairs, with prefixes of up to 15 items, in one
+    # wave. With d = 1 NumPy's mean sums 8 or more values pairwise, so a sum
+    # over prefixes padded to the wave's longest one would differ.
+    @pytest.mark.parametrize("d", [1, 100])
+    def test_fit_equals_one_pair_at_a_time_on_wide_waves(self, d, rng):
+        sessions = [list(rng.integers(0, 1000, int(rng.integers(1, 17)))) for _ in range(60)]
+        store, _ = store_from_lists(sessions, n_items=1000)
+        got = bprmf_train(store, 1000, d=d, epochs=3, lr=0.05, seed=7)
+        want = bprmf_train_by_pair(store, 1000, d=d, epochs=3, lr=0.05, seed=7)
+        assert got.factors.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=bpr_corpora, data=st.data())
+    def test_waves_separate_pairs_that_share_a_row(self, corpus, data):
+        n_items, sessions = corpus
+        store, _ = store_from_lists(sessions, n_items=n_items)
+        negatives = data.draw(st.lists(st.integers(0, n_items - 1),
+                                       min_size=store.n_pairs, max_size=store.n_pairs))
+        # each pair's rows: its prefix, its positive and its negative
+        pairs = [(s, t) for s in sessions for t in range(1, len(s))]
+        rows = [set(s[:t + 1]) | {j} for (s, t), j in zip(pairs, negatives)]
+        waves = pair_waves(store, np.array(negatives, dtype=np.int64), n_items).tolist()
+        assert len(waves) == len(rows)
+        for q in range(len(rows)):
+            earlier = [waves[p] for p in range(q) if rows[p] & rows[q]]
+            assert all(w < waves[q] for w in earlier)
+            assert waves[q] == max(earlier, default=0) + 1  # and no later than that
+        for wave in set(waves):
+            members = [r for r, w in zip(rows, waves) if w == wave]
+            assert sum(map(len, members)) == len(set().union(*members))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_item_outside_catalog_rejected(self, bad):
+        store, _ = store_from_lists([[0, 1], [2, bad]], n_items=4)
+        with pytest.raises(ValueError, match="outside"):
+            bprmf_train(store, 3, d=2, epochs=1)
+
     def test_equal_factors_tie(self):
         model = BprMfModel(np.ones((3, 1)))
         scores = fed(BprMfScorer(model), [0])
