@@ -2,6 +2,10 @@
 event per lane and step, and rank each lane's true next item, accumulating
 Recall@K and MRR@K.
 
+A lane's scores depend only on its state after the step, so evaluation keeps
+each step's queries (a snapshot of that state) and scores several steps'
+lanes in one block, whose rows make one product against the catalog.
+
 Ties are handled pessimistically: items scoring equal to the target count
 against it, so the reported metrics are lower bounds and a constant scorer
 cannot look good.
@@ -38,9 +42,10 @@ __all__ = [
     "BprMfScorer",
 ]
 
-# Sessions that evaluate() advances at once. At 37,483 items and 100 hidden
-# units, 64 lanes turn the per-event GEMV into a GEMM that costs about a
-# sixth as much per case, and keep a step's score matrix near 19 MB.
+# Sessions that evaluate() advances at once, and the most rows it scores in
+# one block. At 37,483 items and 100 hidden units, 64 rows turn the per-event
+# GEMV into a GEMM that costs about a sixth as much per case, and keep a
+# block's score matrix near 19 MB.
 EVAL_LANES = 64
 
 
@@ -96,13 +101,19 @@ def rank_of(scores: np.ndarray, target: int) -> int:
 class SessionScorer:
     """A scorer of session lanes, the unit that :func:`evaluate` drives.
 
-    A scorer implements two methods. ``advance(batch)`` consumes one event
+    A scorer implements three methods. ``advance(batch)`` consumes one event
     per lane of a :class:`MiniBatch`, after passing its per-lane state
     through :meth:`MiniBatch.realign`, which starts reset lanes afresh; a
     batch whose lanes all reset needs no earlier state, so a first batch may
     have any width. An input item outside the vocabulary raises IndexError
-    before any lane changes. ``lane_scores()`` returns, for every lane, the
-    scores of its next item over the full vocabulary, shape (width, n_items).
+    before any lane changes. ``lane_queries()`` returns a snapshot of what
+    every lane's scores depend on, which later steps leave unchanged.
+    ``score_queries(queries)`` takes a list of such snapshots, from one or
+    more steps, and returns the scores of all their lanes over the full
+    vocabulary in one array, rows in list then lane order, shape
+    (total width, n_items). The base method stacks queries that are already
+    score rows. ``lane_scores()``, the scores of the current lanes, is
+    ``score_queries`` of the one current query.
 
     ``reset``/``feed``/``scores``/``step`` serve one session as a single
     lane. Feeding does no scoring, so a caller that ranks only after the
@@ -114,8 +125,14 @@ class SessionScorer:
     def advance(self, batch: MiniBatch) -> None:
         raise NotImplementedError
 
-    def lane_scores(self) -> np.ndarray:
+    def lane_queries(self):
         raise NotImplementedError
+
+    def score_queries(self, queries: list) -> np.ndarray:
+        return np.concatenate(queries)
+
+    def lane_scores(self) -> np.ndarray:
+        return self.score_queries([self.lane_queries()])
 
     def reset(self) -> None:
         """Start a new session with the next ``feed``."""
@@ -147,8 +164,9 @@ class SessionScorer:
 
 
 class GruScorer(SessionScorer):
-    """All lanes advance in one forward step, and their (width, hidden) top
-    layer is scored against every item in one product."""
+    """All lanes advance in one forward step; a query is the (width, hidden)
+    top layer, and the stacked rows are scored against every item in one
+    product."""
 
     def __init__(self, params: NetworkParams):
         self.params = params
@@ -158,11 +176,16 @@ class GruScorer(SessionScorer):
         _, self._h, _ = forward_step(self.params, batch, self._h,
                                      sampled_columns=np.empty(0, dtype=np.intp))
 
-    def lane_scores(self) -> np.ndarray:
-        return score_all(self.params, self._h.layers[-1])
+    def lane_queries(self) -> np.ndarray:
+        return self._h.layers[-1]  # a snapshot: forward_step writes into no state it returned
+
+    def score_queries(self, queries: list) -> np.ndarray:
+        return score_all(self.params, np.concatenate(queries))
 
 
 class PopScorer(SessionScorer):
+    """A query is the lane count; every lane gets the same row."""
+
     def __init__(self, vocab: ItemVocab):
         self._scores = pop_score(vocab)
         self._width = 0
@@ -171,14 +194,18 @@ class PopScorer(SessionScorer):
         _check_in_vocab(batch.inputs, len(self._scores), "input item index")
         self._width = batch.width
 
-    def lane_scores(self) -> np.ndarray:
-        return np.broadcast_to(self._scores, (self._width, len(self._scores)))
+    def lane_queries(self) -> int:
+        return self._width
+
+    def score_queries(self, queries: list) -> np.ndarray:
+        return np.broadcast_to(self._scores, (sum(queries), len(self._scores)))
 
 
 class SpopScorer(SessionScorer):
     """Session popularity with global popularity as tiebreak: per-lane prefix
-    counts of every item (a :class:`LaneItems` map accumulated at decay 1.0),
-    plus its global popularity as a fraction strictly below one.
+    counts of every item (a :class:`LaneItems` map accumulated at decay 1.0,
+    which is the query), plus its global popularity as a fraction strictly
+    below one.
 
     Within-prefix counts dominate, so items absent from the prefix always
     rank below present ones, ordered among themselves by global counts.
@@ -192,14 +219,20 @@ class SpopScorer(SessionScorer):
         _check_in_vocab(batch.inputs, len(self._tiebreak), "input item index")
         self._counts = self._counts.realign(batch).accumulate(batch.inputs, 1.0)
 
-    def lane_scores(self) -> np.ndarray:
-        scores = np.tile(self._tiebreak, (self._counts.width, 1))
-        scores[self._counts.lanes, self._counts.items] += self._counts.weights
+    def lane_queries(self) -> LaneItems:
+        return self._counts  # realign and accumulate return new maps
+
+    def score_queries(self, queries: list) -> np.ndarray:
+        widths = [counts.width for counts in queries]
+        scores = np.tile(self._tiebreak, (sum(widths), 1))
+        for start, counts in zip(np.cumsum([0] + widths), queries):
+            scores[start + counts.lanes, counts.items] += counts.weights
         return scores
 
 
 class ItemKnnScorer(SessionScorer):
-    """Each lane's state is its last item; its scores are that item's row."""
+    """Each lane's state, and query, is its last item; its scores are that
+    item's row."""
 
     def __init__(self, model: ItemKnnModel):
         self.model = model
@@ -209,14 +242,18 @@ class ItemKnnScorer(SessionScorer):
         _check_in_vocab(batch.inputs, self.model.n_items, "input item index")
         self._last = batch.inputs
 
-    def lane_scores(self) -> np.ndarray:
-        return itemknn_score(self.model, self._last)
+    def lane_queries(self) -> np.ndarray:
+        return self._last
+
+    def score_queries(self, queries: list) -> np.ndarray:
+        return itemknn_score(self.model, np.concatenate(queries))
 
 
 class BprMfScorer(SessionScorer):
     """Per-lane prefix sums (rows added left to right, one event at a time)
-    and lengths of the item factors; the prefix means are the user vectors,
-    scored with one (width, d)·(d, N) product."""
+    and lengths of the item factors; the prefix means are the user vectors
+    and the query, and the stacked means are scored with one (rows, d)·(d, N)
+    product."""
 
     def __init__(self, model: BprMfModel):
         self.model = model
@@ -230,8 +267,11 @@ class BprMfScorer(SessionScorer):
         self._lengths = batch.realign(self._lengths)
         self._lengths += 1
 
-    def lane_scores(self) -> np.ndarray:
-        return (self._sums / self._lengths[:, None]) @ self.model.factors.T
+    def lane_queries(self) -> np.ndarray:
+        return self._sums / self._lengths[:, None]
+
+    def score_queries(self, queries: list) -> np.ndarray:
+        return np.concatenate(queries) @ self.model.factors.T
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -275,8 +315,11 @@ def evaluate(
 ) -> EvalReport:
     """Run the next-item protocol over every test session.
 
-    Up to :data:`EVAL_LANES` sessions advance at once, and every lane's
-    target is ranked at each step. The cases are the events before each
+    Up to :data:`EVAL_LANES` sessions advance at once. Each step's lane
+    queries are held until the next step would take the held rows past
+    :data:`EVAL_LANES`; the held steps are then scored with one
+    ``score_queries`` call and ranked with one :func:`lane_ranks` call, and
+    the rest after the last step. The cases are the events before each
     session's last, sessions taken in ``test``'s iteration order; each
     case's rank is stored in that order and the metrics are summed in it.
     The cutoff ``k`` must be at least 1.
@@ -302,10 +345,24 @@ def evaluate(
     if n_cases == 0:
         return EvalReport(float("nan"), float("nan"), k, 0)
     ranks = np.empty(n_cases, dtype=np.int64)
+    held: list[tuple[object, np.ndarray, np.ndarray]] = []  # (query, cases, targets)
+
+    def rank_held() -> None:
+        queries, cases, targets = zip(*held)
+        ranks[np.concatenate(cases)] = lane_ranks(
+            scorer.score_queries(list(queries)), np.concatenate(targets), candidates)
+        held.clear()
+
+    n_held = 0
     for batch in SessionBatcher(test, EVAL_LANES):
+        if n_held + batch.width > EVAL_LANES:
+            rank_held()
+            n_held = 0
         scorer.advance(batch)
-        cases = first_case[batch.sessions] + batch.positions
-        ranks[cases] = lane_ranks(scorer.lane_scores(), batch.targets, candidates)
+        held.append((scorer.lane_queries(), first_case[batch.sessions] + batch.positions,
+                     batch.targets))
+        n_held += batch.width
+    rank_held()
 
     position = np.arange(n_cases) - np.repeat(first_case[:-1], n_of)
     nan_cases = np.flatnonzero(ranks == 0)

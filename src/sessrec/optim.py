@@ -38,7 +38,8 @@ def _resolve_rows(grad: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """Rows to touch and their gradient slices; all-zero rows are skipped.
 
     With ``rows=None`` the gradient is dense; otherwise ``grad`` holds just
-    the listed (distinct) rows.
+    the listed (distinct) rows. As the rows are distinct, an update gathers
+    each state row once and steps with the rows it scatters back.
     """
     nonzero = grad != 0.0 if grad.ndim == 1 else np.any(grad != 0.0, axis=-1)
     if rows is None:
@@ -57,10 +58,9 @@ def _apply_step(
     if momentum > 0.0:
         if state.vel is None:
             state.vel = np.zeros(param.shape)
-        state.vel[idx] = momentum * state.vel[idx] + step
-        param[idx] -= state.vel[idx]
-    else:
-        param[idx] -= step
+        step = momentum * state.vel[idx] + step
+        state.vel[idx] = step
+    param[idx] -= step
 
 
 def adagrad_update(
@@ -77,8 +77,9 @@ def adagrad_update(
     idx, g = _resolve_rows(np.asarray(grad, dtype=np.float64), rows)
     if idx.size == 0:
         return
-    state.acc[idx] += g * g
-    step = lr * g / np.sqrt(state.acc[idx] + state.epsilon)
+    acc = state.acc[idx] + g * g
+    state.acc[idx] = acc
+    step = lr * g / np.sqrt(acc + state.epsilon)
     _apply_step(param, state, idx, step, momentum)
 
 
@@ -99,8 +100,9 @@ def rmsprop_update(
     idx, g = _resolve_rows(np.asarray(grad, dtype=np.float64), rows)
     if idx.size == 0:
         return
-    state.acc[idx] = decay * state.acc[idx] + (1.0 - decay) * g * g
-    step = lr * g / np.sqrt(state.acc[idx] + state.epsilon)
+    acc = decay * state.acc[idx] + (1.0 - decay) * g * g
+    state.acc[idx] = acc
+    step = lr * g / np.sqrt(acc + state.epsilon)
     _apply_step(param, state, idx, step, momentum)
 
 

@@ -667,8 +667,8 @@ class TestEvaluateAndRecommend:
         import sessrec.cli as cli
 
         class NanScorer(PopScorer):
-            def lane_scores(self):
-                return np.full(super().lane_scores().shape, np.nan)
+            def score_queries(self, queries):
+                return np.full(super().score_queries(queries).shape, np.nan)
 
         train, test = prepared
         model = tmp_path / "pop.bin"

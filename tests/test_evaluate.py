@@ -80,7 +80,7 @@ class FixedScorer(SessionScorer):
     def advance(self, batch):
         self.width = batch.width
 
-    def lane_scores(self):
+    def lane_queries(self):
         return np.tile(self.fixed, (self.width, 1))
 
 
@@ -95,7 +95,7 @@ class OracleScorer(SessionScorer):
     def advance(self, batch):
         self.last = batch.inputs
 
-    def lane_scores(self):
+    def lane_queries(self):
         scores = np.zeros((len(self.last), self.n))
         scores[np.arange(len(self.last)), [self.successor[int(i)] for i in self.last]] = 1.0
         return scores
@@ -116,7 +116,7 @@ class PooledScorer(SessionScorer):
         state[keep] = self.state[batch.prev_lanes[keep]]
         self.state = (state * 31 + batch.inputs + 1) % len(self.table)
 
-    def lane_scores(self):
+    def lane_queries(self):
         return self.table[self.state]
 
 
@@ -124,7 +124,7 @@ class NanAfterScorer(OracleScorer):
     """Zero scores, except NaN on the item that ``successor`` names for the
     last item fed, where it names one."""
 
-    def lane_scores(self):
+    def lane_queries(self):
         scores = np.zeros((len(self.last), self.n))
         for lane, item in enumerate(self.last):
             if int(item) in self.successor:
@@ -323,6 +323,25 @@ def outcome(run, *args, **kwargs):
         return f"ValueError: {exc}"
 
 
+def permuted_lane_steps(rng, n_items, n_steps=60):
+    """Batches whose lanes swap places, shrink in any order and all reset at a
+    new width (the batcher only drops lanes in order), each with every lane's
+    session prefix after it."""
+    prefixes: list[list[int]] = []
+    for step in range(n_steps):
+        if step % 8 == 0:
+            width = int(rng.integers(3, 8))
+            reset, prev = np.ones(width, bool), np.zeros(width, np.int64)
+        else:
+            width = int(rng.integers(1, len(prefixes) + 1))
+            prev = rng.permutation(len(prefixes))[:width]
+            reset = rng.random(width) < 0.25
+        inputs = rng.integers(0, n_items, width)
+        prefixes = [([] if reset[k] else prefixes[prev[k]]) + [int(inputs[k])]
+                    for k in range(width)]
+        yield MiniBatch(inputs, np.zeros(width, np.int64), reset, prev), prefixes
+
+
 class TestLanesEqualEvents:
     @settings(max_examples=250, deadline=None)
     @given(data=st.data())
@@ -364,22 +383,11 @@ class TestLanesEqualEvents:
         store, vocab = store_from_lists(sessions, n_items=n_items)
         scorer = make_scorer(kind, store, vocab, seed=5)
         single = make_scorer(kind, store, vocab, seed=5)
-        prefixes: list[list[int]] = []
         n_checked = 0
-        for step in range(60):
-            if step % 8 == 0:
-                width = int(rng.integers(3, 8))
-                reset, prev = np.ones(width, bool), np.zeros(width, np.int64)
-            else:
-                width = int(rng.integers(1, len(prefixes) + 1))
-                prev = rng.permutation(len(prefixes))[:width]
-                reset = rng.random(width) < 0.25
-            inputs = rng.integers(0, n_items, width)
-            scorer.advance(MiniBatch(inputs, np.zeros(width, np.int64), reset, prev))
-            prefixes = [([] if reset[k] else prefixes[prev[k]]) + [int(inputs[k])]
-                        for k in range(width)]
+        for batch, prefixes in permuted_lane_steps(rng, n_items):
+            scorer.advance(batch)
             scores = scorer.lane_scores()
-            for k in range(width):
+            for k in range(batch.width):
                 alone = fed(single, prefixes[k])
                 if kind == "spop":
                     assert scores[k].tobytes() == alone.tobytes(), prefixes[k]
@@ -400,6 +408,84 @@ class TestLanesEqualEvents:
         want = outcome(evaluate_by_event, scorer, test, **kwargs)
         assert want.startswith("ValueError: test session 's00000', next item 4: ")
         assert outcome(evaluate, scorer, test, **kwargs) == want
+
+
+class CaseSpyScorer(SessionScorer):
+    """A lane's query is its case, (session, position); each ``score_queries``
+    call records the cases it scores and the width of every step."""
+
+    def __init__(self, n_items):
+        self.n = n_items
+        self.widths = []
+        self.calls = []
+
+    def advance(self, batch):
+        self.widths.append(batch.width)
+        self.cases = list(zip(batch.sessions.tolist(), batch.positions.tolist()))
+
+    def lane_queries(self):
+        return self.cases
+
+    def score_queries(self, queries):
+        self.calls.append([case for query in queries for case in query])
+        return np.zeros((len(self.calls[-1]), self.n))
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("kind", ["gru_one_hot", "gru_deep_discounted", "pop", "spop",
+                                      "itemknn", "bprmf"])
+    def test_held_queries_score_as_their_steps(self, kind):
+        # POP, S-POP and Item-KNN compute without BLAS, so a block's rows must
+        # equal its steps' rows bit for bit; the GRU's and BPR-MF's products
+        # round differently at another row count, and a query that a later
+        # step changed would be off by far more
+        rng = np.random.default_rng(37)
+        n_items = 9
+        sessions = [list(rng.integers(0, n_items, int(rng.integers(2, 8)))) for _ in range(20)]
+        store, vocab = store_from_lists(sessions, n_items=n_items)
+        scorer = make_scorer(kind, store, vocab, seed=5)
+        queries, steps, n_multi = [], [], 0
+        block_steps = 1
+        for batch, _ in permuted_lane_steps(rng, n_items):
+            scorer.advance(batch)
+            queries.append(scorer.lane_queries())
+            steps.append(scorer.lane_scores())
+            if len(queries) < block_steps:
+                continue
+            got, want = scorer.score_queries(queries), np.concatenate(steps)
+            assert got.shape == want.shape
+            if kind in ("pop", "spop", "itemknn"):
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            n_multi += len(queries) > 1
+            queries, steps = [], []
+            block_steps = int(rng.integers(1, 7))
+        assert n_multi > 5
+
+    def test_block_rows_stay_within_eval_lanes(self):
+        # sessions of 1 to 7 cases, so that the steps have widths 30, 18, 12,
+        # 9, 4, 2 and 1: the first three fill one block of 60 rows, the rest
+        # one of 16
+        n_cases_of = [1] * 12 + [2] * 6 + [3] * 3 + [4] * 5 + [5] * 2 + [6] + [7]
+        store, _ = store_from_lists([[0] * (n + 1) for n in n_cases_of], n_items=3)
+        spy = CaseSpyScorer(3)
+        report = evaluate(spy, store)
+        assert spy.widths == [30, 18, 12, 9, 4, 2, 1]
+        assert [len(cases) for cases in spy.calls] == [60, 16]
+        assert report.n_cases == sum(n_cases_of)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 5, evaluation.EVAL_LANES])
+    def test_every_case_is_scored_once(self, lanes, rng):
+        sessions = [[0] * int(rng.integers(1, 10)) for _ in range(200)]
+        store, _ = store_from_lists(sessions, n_items=2)
+        spy = CaseSpyScorer(2)
+        with mock.patch.object(evaluation, "EVAL_LANES", lanes):
+            evaluate(spy, store)
+        assert max(len(cases) for cases in spy.calls) <= lanes
+        scored = sorted(case for cases in spy.calls for case in cases)
+        n_of = np.diff(store.offsets) - 1
+        assert scored == [(s, p) for s in range(len(store)) for p in range(n_of[s])]
 
 
 # few distinct values, so ties, signed zeros, infinities and NaN are common
