@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 CSV_HEADER = ("SessionId", "ItemId", "Time")
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+_PLAIN_CUTS = np.frombuffer(b",,\n", np.uint8)  # the field ends of a plain line
+_MAX_TIME_DIGITS = 18
+_BLOCK_CHARS = 1 << 20  # the bulk parse's block of whole lines, in characters
 
 DEFAULT_MAX_SESSION_LEN = 200
 
@@ -187,36 +191,111 @@ class EventColumns(NamedTuple):
     times: np.ndarray
 
 
+def _intern(ids: list[str], code: dict[str, int]) -> np.ndarray:
+    """The codes of ``ids``; an id new to ``code`` gets the next code."""
+    return np.array([code.setdefault(i, len(code)) for i in ids], dtype=np.int64)
+
+
+def _plain_block(text: str, header: bool, session_code: dict[str, int],
+                 item_code: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The events of ``text``, whole lines after the exact header if
+    ``header``, parsed in bulk with their ids interned into the two maps.
+
+    None, with the maps untouched, unless every line is plain: ASCII with no
+    quote, CR, NUL or whitespace; exactly three non-empty fields, none longer
+    than ``csv.field_size_limit()``; a time of at most 18 digits, so below
+    2**63. A plain line is parsed as the per-row reader parses it.
+    """
+    if header:
+        if not text.startswith(_HEADER_LINE):
+            return None
+        text = text[len(_HEADER_LINE):]
+    if text and not text.endswith("\n"):  # the last line of the input
+        text += "\n"
+    if not text.isascii() or '"' in text:
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    cuts = np.flatnonzero((b == ord(",")) | (b <= ord(" ")))
+    if len(cuts) % 3 or not (b[cuts].reshape(-1, 3) == _PLAIN_CUTS).all():
+        return None
+    widths = (np.diff(cuts, prepend=-1) - 1).reshape(-1, 3)
+    if (widths.min(initial=1) < 1 or widths.max(initial=0) > csv.field_size_limit()
+            or widths[:, 2].max(initial=0) > _MAX_TIME_DIGITS):
+        return None
+    fields = text.replace("\n", ",").split(",")[:-1]
+    times = fields[2::3]
+    if "".join(times).encode("ascii").translate(None, b"0123456789"):  # not digits only
+        return None
+    return (_intern(fields[0::3], session_code), _intern(fields[1::3], item_code),
+            np.array(list(map(int, times)), dtype=np.int64))
+
+
+def _read_block(source: TextIO) -> str:
+    """About ``_BLOCK_CHARS`` characters of whole lines; "" at the end."""
+    text = source.read(_BLOCK_CHARS)
+    if text and not text.endswith("\n"):
+        text += source.readline()
+    return text
+
+
 def read_events_csv(source: TextIO | str, iso_time: bool = False) -> EventColumns:
     """Parse the CSV schema into columns, ids interned in order of first
-    appearance; malformed rows name their line."""
+    appearance; malformed rows name their line.
+
+    A source that can seek, with integer times, is parsed in bulk, in blocks
+    of whole lines of about ``_BLOCK_CHARS`` characters, while each block is
+    plain (see :func:`_plain_block`). From the first block that is not, the
+    per-row reader takes over at that block's first line, so the columns and
+    the errors are the same either way, and memory for the text stays
+    bounded by one block.
+    """
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
     session_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
+    blocks = []
+    line_no = 1  # the first line the per-row reader reads
+    if not iso_time and source.seekable():
+        at = source.tell()
+        try:
+            while text := _read_block(source):
+                header = line_no == 1
+                block = _plain_block(text, header, session_code, item_code)
+                if block is None:
+                    break
+                blocks.append(block)
+                line_no += header + len(block[0])
+                at = source.tell()
+        except UnicodeDecodeError:  # the per-row reader meets it at its line
+            pass
+        source.seek(at)
+
     sessions: list[int] = []
     items: list[int] = []
     times: list[int] = []
-    header = next(reader, None)
-    if header is not None and tuple(h.strip() for h in header) != CSV_HEADER:
-        raise DataFormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"line {line_no}: expected 3 fields, got {len(row)}")
-        sid, item, t = (f.strip() for f in row)
-        if not sid or not item:
-            raise DataFormatError(f"line {line_no}: empty session or item id")
-        times.append(_parse_time(t, iso_time, line_no))
-        sessions.append(session_code.setdefault(sid, len(session_code)))
-        items.append(item_code.setdefault(item, len(item_code)))
-    return EventColumns(
-        np.array(sessions, dtype=np.int64), list(session_code),
-        np.array(items, dtype=np.int64), list(item_code),
-        np.array(times, dtype=np.int64),
-    )
+    row_no = line_no - 1  # the last row read
+    try:
+        for row_no, row in enumerate(csv.reader(source), start=line_no):
+            if row_no == 1:
+                if tuple(h.strip() for h in row) != CSV_HEADER:
+                    raise DataFormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
+                continue
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DataFormatError(f"line {row_no}: expected 3 fields, got {len(row)}")
+            sid, item, t = (f.strip() for f in row)
+            if not sid or not item:
+                raise DataFormatError(f"line {row_no}: empty session or item id")
+            times.append(_parse_time(t, iso_time, row_no))
+            sessions.append(session_code.setdefault(sid, len(session_code)))
+            items.append(item_code.setdefault(item, len(item_code)))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DataFormatError(f"line {row_no + 1}: {exc}") from None
+    blocks.append((np.array(sessions, dtype=np.int64), np.array(items, dtype=np.int64),
+                   np.array(times, dtype=np.int64)))
+    sessions, items, times = (np.concatenate(column) for column in zip(*blocks))
+    return EventColumns(sessions, list(session_code), items, list(item_code), times)
 
 
 def index_sessions(

@@ -12,13 +12,21 @@ Layout (all integers little-endian):
             u32 rows, u32 cols, rows*cols float64 values row-major
 
 Round-trips are bit-exact; unknown magic or version is rejected loudly.
+
+Matrices go between the stream and their arrays without intermediate
+copies: a C-contiguous little-endian float64 matrix is written from its own
+buffer, and a loaded matrix is read straight into the array that the
+:class:`ModelFile` keeps. The ids are written in one joined write and read
+in a few bulk reads that never pass the end of their block.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import BinaryIO
 
 import numpy as np
@@ -55,13 +63,18 @@ def _write_str(f: BinaryIO, s: str) -> None:
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
+    """``n`` bytes, over as many reads as the stream needs: a raw stream may
+    return fewer bytes than asked for."""
+    chunks, got = [], 0
     try:
-        b = f.read(n)
+        while got < n and (chunk := f.read(n - got)):
+            chunks.append(chunk)
+            got += len(chunk)
     except (OverflowError, MemoryError):  # a corrupt length no buffer can hold
-        b = b""
-    if len(b) != n:
-        raise ModelFormatError(f"truncated model file: wanted {n} bytes, got {len(b)}")
-    return b
+        pass
+    if got != n:
+        raise ModelFormatError(f"truncated model file: wanted {n} bytes, got {got}")
+    return b"".join(chunks)
 
 
 def _read_str(f: BinaryIO) -> str:
@@ -72,6 +85,57 @@ def _read_str(f: BinaryIO) -> str:
         raise ModelFormatError(f"string in model file is not UTF-8: {exc}") from None
 
 
+_U32 = struct.Struct("<I")
+
+
+def _read_ids(f: BinaryIO, n: int) -> list[str]:
+    """``n`` length-prefixed UTF-8 strings. Every id still to come takes at
+    least its 4-byte length, so each read asks for no more than the block
+    surely still holds and the stream is never read past its end."""
+    ids: list[bytes] = []
+    buf, at = b"", 0
+    while len(ids) < n:
+        rest = buf[at:]
+        wanted = 4 * (n - len(ids))
+        if len(rest) >= 4:  # the rest of a partly read id
+            wanted += _U32.unpack_from(rest)[0]
+        buf, at = rest + _read_exact(f, wanted - len(rest)), 0
+        while len(ids) < n and at + 4 <= len(buf):
+            (size,) = _U32.unpack_from(buf, at)
+            if at + 4 + size > len(buf):
+                break
+            ids.append(buf[at + 4:at + 4 + size])
+            at += 4 + size
+    try:
+        return [b.decode("utf-8") for b in ids]
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"string in model file is not UTF-8: {exc}") from None
+
+
+def _read_array(f: BinaryIO, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    """An array of ``shape`` read straight into its own buffer. On a stream
+    that can seek, a shape that needs more bytes than remain is an error
+    before anything is allocated."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if f.seekable():
+        at = f.tell()
+        left = f.seek(0, 2) - at
+        f.seek(at)
+        if nbytes > left:
+            raise ModelFormatError(f"truncated model file: wanted {nbytes} bytes, got {left}")
+    try:
+        out = np.empty(shape, dtype)
+    except (ValueError, MemoryError):  # a corrupt shape no buffer can hold
+        raise ModelFormatError(f"truncated model file: wanted {nbytes} bytes") from None
+    view, got = memoryview(out.reshape(-1).view(np.uint8)), 0
+    while got < nbytes:
+        n = f.readinto(view[got:])
+        if not n:
+            raise ModelFormatError(f"truncated model file: wanted {nbytes} bytes, got {got}")
+        got += n
+    return out
+
+
 def save_model_file(mf: ModelFile, f: BinaryIO) -> None:
     if mf.kind not in KINDS:
         raise ModelFormatError(f"unknown model kind: {mf.kind}")
@@ -79,19 +143,20 @@ def save_model_file(mf: ModelFile, f: BinaryIO) -> None:
     f.write(struct.pack("<I", VERSION))
     _write_str(f, mf.kind)
     f.write(struct.pack("<I", len(mf.vocab)))
-    for item in mf.vocab.items:
-        _write_str(f, item)
-    f.write(np.asarray(mf.vocab.popularity, dtype="<u8").tobytes())
+    ids = [item.encode("utf-8") for item in mf.vocab.items]
+    f.write(b"".join(chain.from_iterable(zip(map(_U32.pack, map(len, ids)), ids))))
+    f.write(np.ascontiguousarray(mf.vocab.popularity, dtype="<u8"))
     f.write(struct.pack("<I", len(mf.hyper)))
     for key in sorted(mf.hyper):
         _write_str(f, key)
         _write_str(f, mf.hyper[key])
     f.write(struct.pack("<I", len(mf.matrices)))
     for name in sorted(mf.matrices):
-        m = np.atleast_2d(np.asarray(mf.matrices[name], dtype=np.float64))
+        # a copy only if the matrix is not C-contiguous little-endian float64
+        m = np.ascontiguousarray(np.atleast_2d(mf.matrices[name]), dtype="<f8")
         _write_str(f, name)
         f.write(struct.pack("<II", m.shape[0], m.shape[1]))
-        f.write(m.astype("<f8").tobytes(order="C"))
+        f.write(m)
 
 
 def load_model_file(f: BinaryIO) -> ModelFile:
@@ -105,8 +170,8 @@ def load_model_file(f: BinaryIO) -> ModelFile:
     if kind not in KINDS:
         raise ModelFormatError(f"unknown model kind: {kind}")
     (n_items,) = struct.unpack("<I", _read_exact(f, 4))
-    items = [_read_str(f) for _ in range(n_items)]
-    pop = np.frombuffer(_read_exact(f, 8 * n_items), dtype="<i8").astype(np.int64)
+    items = _read_ids(f, n_items)
+    pop = _read_array(f, (n_items,), "<i8")
     if (pop < 0).any():  # written as u64, so a count of 2**63 or more
         raise ModelFormatError("popularity count out of range in model file")
     try:
@@ -123,8 +188,7 @@ def load_model_file(f: BinaryIO) -> ModelFile:
     for _ in range(n_mat):
         name = _read_str(f)
         rows, cols = struct.unpack("<II", _read_exact(f, 8))
-        data = np.frombuffer(_read_exact(f, 8 * rows * cols), dtype="<f8")
-        matrices[name] = data.reshape(rows, cols).copy()
+        matrices[name] = _read_array(f, (rows, cols), "<f8")
     if f.read(1):
         raise ModelFormatError("model file has bytes after its last matrix")
     return ModelFile(kind, vocab, hyper, matrices)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,32 @@ def to_dense(m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def save_model_file_by_copy(mf, f):
+    """The model file by its first writer: every id in two writes, and every
+    matrix converted with ``astype("<f8")`` and copied out with ``tobytes``.
+    ``modelio.save_model_file`` must write the same bytes."""
+
+    def write_str(s):
+        b = s.encode("utf-8")
+        f.write(struct.pack("<I", len(b)))
+        f.write(b)
+
+    f.write(b"SRE1")
+    f.write(struct.pack("<I", 1))
+    write_str(mf.kind)
+    f.write(struct.pack("<I", len(mf.vocab)))
+    for item in mf.vocab.items:
+        write_str(item)
+    f.write(np.asarray(mf.vocab.popularity, dtype="<u8").tobytes())
+    f.write(struct.pack("<I", len(mf.hyper)))
+    for key in sorted(mf.hyper):
+        write_str(key)
+        write_str(mf.hyper[key])
+    f.write(struct.pack("<I", len(mf.matrices)))
+    for name in sorted(mf.matrices):
+        m = np.atleast_2d(np.asarray(mf.matrices[name], dtype=np.float64))
+        write_str(name)
+        f.write(struct.pack("<II", m.shape[0], m.shape[1]))
+        f.write(m.astype("<f8").tobytes(order="C"))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import io
@@ -732,6 +733,40 @@ def test_csv_not_utf8_exits_1_naming_its_line(command, prepared, tmp_path, capsy
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {bad}: line 3: not valid UTF-8\n"
+
+
+def test_bad_row_before_bytes_not_utf8_names_the_row(tmp_path, capsys):
+    """A bad row some 30 kB ahead of bytes that are not UTF-8: the row's
+    error, as a reader of one row at a time meets it first."""
+    lines = ["SessionId,ItemId,Time", "s1,a,1", "s1,b,notatime"]
+    lines += [f"s{k},a,{k}" for k in range(2, 3000)]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"s9,\xff,5\n")
+    code, out, err = run(["prepare", "--input", str(bad), "--out", str(tmp_path / "train.csv"),
+                          str(tmp_path / "test.csv"), "--split-time", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: line 3: bad timestamp 'notatime'\n"
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "baseline", "evaluate"])
+def test_field_over_the_csv_limit_exits_1_naming_its_line(command, prepared, tmp_path, capsys):
+    bad = tmp_path / "long.csv"
+    bad.write_text(f"SessionId,ItemId,Time\ns1,a,1\ns1,{'b' * 200_000},2\n", encoding="utf-8")
+    model = tmp_path / "m.bin"
+    if command == "evaluate":
+        assert main(["baseline", "--kind", "pop", "--data", str(prepared[0]),
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+    argv = {
+        "prepare": ["prepare", "--input", str(bad), "--out", str(tmp_path / "train.csv"),
+                    str(tmp_path / "test.csv"), "--split-time", "1"],
+        "train": ["train", "--data", str(bad), "--model", str(model), "--epochs", "1"],
+        "baseline": ["baseline", "--kind", "pop", "--data", str(bad), "--model", str(model)],
+        "evaluate": ["evaluate", "--model", str(model), "--test", str(bad)],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: line 3: field larger than field limit ({csv.field_size_limit()})\n"
 
 
 def test_config_not_utf8_exits_1_naming_its_line(prepared, tmp_path, capsys):

@@ -3,6 +3,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,20 +46,37 @@ def read(events):
         f"{e.session_id},{e.item_id},{e.timestamp}\n" for e in events))
 
 
-def read_events_by_row(source, iso_time=False):
+def numbered_rows(source, newline="\n"):
+    """The CSV rows of ``source`` with their numbers from 1; a ``csv.Error``
+    becomes a DataFormatError naming the row it stopped at."""
+    rows = csv.reader(io.StringIO(source, newline=newline))
+    line_no = 1
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataFormatError(f"line {line_no}: {exc}") from None
+        yield line_no, row
+        line_no += 1
+
+
+def read_events_by_row(source, iso_time=False, newline="\n"):
     """The reader by its definition: one checked :class:`Event` per row.
 
     :func:`read_events_csv` plus :func:`columns_of` must give the same
-    columns and raise the same errors.
+    columns and raise the same errors. ``newline`` is the line ending
+    argument of the stream that ``read_events_csv`` reads.
     """
-    rows = csv.reader(io.StringIO(source))
-    header = next(rows, None)
+    rows = numbered_rows(source, newline)
+    _, header = next(rows, (1, None))
     if header is None:
         return []
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise DataFormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
     out = []
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != 3:
@@ -314,10 +332,28 @@ def outcome(run, *args, **kwargs):
         return f"DataFormatError: {exc}"
 
 
+LIMIT = csv.field_size_limit()
+
+# Rows at each boundary of the bulk parse, and other odd rows. Each is joined
+# to the next with "\n", so "a,p,3\r" ends its line in CR LF.
 ODD_ROWS = ["", "a,p", "a,p,1,2", ",p,1", "a, ,1", '"a,b",p,3', "a,p,x", "a,p,1.5", "a,p,",
             "a,p,-1", "a,p,-0", "a,p,+7", "a,p, 8 ", f"a,p,{2**63 - 1}", f"a,p,{2**63}",
             "a,p,99999999999999999999", "a,p,2014-04-01T00:00:00+00:00",
-            "a,p,1969-12-31T23:59:59", "a,p,0001-01-01T00:00:00+01:00"]
+            "a,p,1969-12-31T23:59:59", "a,p,0001-01-01T00:00:00+01:00",
+            "a,p,5_000", "a,p,\u0663", "a,p,0007", f"a,p,{10**18}", f"a,p,{10**17}",
+            "a,p,3\r", "a,p,1\rb,q,2", "a\x00,p,1", "a,p,1\t", "d,\u00e9,4",
+            "a," + "p" * LIMIT + ",5", "a," + "p" * (LIMIT + 1) + ",5"]
+
+
+def assert_same_columns(got, want_events):
+    """``got``, read_events_csv's columns, equal the per-row reader's events."""
+    want = columns_of(want_events)
+    assert got.session_ids == want.session_ids
+    assert got.item_ids == want.item_ids
+    for name in ("sessions", "items", "times"):
+        column = getattr(got, name)
+        assert column.dtype == np.int64
+        assert column.tolist() == getattr(want, name).tolist()
 
 
 class TestReader:
@@ -345,13 +381,7 @@ class TestReader:
         if isinstance(want, str):
             assert got == want
             return
-        want_columns = columns_of(want)
-        assert got.session_ids == want_columns.session_ids
-        assert got.item_ids == want_columns.item_ids
-        for name in ("sessions", "items", "times"):
-            column = getattr(got, name)
-            assert column.dtype == np.int64
-            assert column.tolist() == getattr(want_columns, name).tolist()
+        assert_same_columns(got, want)
 
         max_len = data.draw(st.sampled_from([None, 2, 3]), label="max_len")
         vocab_items = data.draw(st.one_of(
@@ -365,6 +395,47 @@ class TestReader:
         assert got_vocab.items == items
         assert got_vocab.popularity.tolist() == popularity
         assert dropped == want_dropped
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blocks_of_any_size_equal_the_per_row_reader(self, data):
+        """The bulk parse in blocks of a few characters, from a string and from
+        a stream that decodes bytes: block boundaries anywhere, and a
+        fallback that starts in the middle of the file."""
+        rows = data.draw(st.lists(st.tuples(
+            st.sampled_from(["a", "b", "c1", "d"]), st.sampled_from(["p", "q", "r_2", "s"]),
+            st.integers(0, 10**18)), max_size=30), label="rows")
+        lines = [f"{sid},{item},{t}" for sid, item, t in rows]
+        for odd in data.draw(st.lists(st.sampled_from(ODD_ROWS), max_size=2), label="odd"):
+            lines.insert(data.draw(st.integers(0, len(lines)), label="at"), odd)
+        header = data.draw(st.sampled_from(["SessionId,ItemId,Time", "SessionId ,ItemId,Time"]),
+                           label="header")
+        text = "\n".join([header] + lines) + data.draw(st.sampled_from(["\n", ""]), label="end")
+        from_bytes = data.draw(st.booleans(), label="from_bytes")
+        source = text
+        if from_bytes:  # as the command line opens a file
+            source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
+                                      newline="")
+        with mock.patch("sessrec.data._BLOCK_CHARS", data.draw(st.integers(1, 40), label="block")):
+            got = outcome(read_events_csv, source)
+        want = outcome(read_events_by_row, text, newline="" if from_bytes else "\n")
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_columns(got, want)
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_field_over_the_csv_limit_names_its_line(self, from_file, tmp_path):
+        text = f"SessionId,ItemId,Time\na,x,1\na,{'y' * (LIMIT + 1)},2\n"
+        with pytest.raises(DataFormatError) as exc:
+            if from_file:
+                path = tmp_path / "long.csv"
+                path.write_text(text, encoding="utf-8")
+                with open(path, encoding="utf-8", newline="") as f:
+                    read_events_csv(f)
+            else:
+                read_events_csv(text)
+        assert str(exc.value) == f"line 3: field larger than field limit ({LIMIT})"
 
     @pytest.mark.parametrize("text,message", [
         ("99999999999999999999", "line 3: timestamp out of range '99999999999999999999'"),

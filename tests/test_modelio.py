@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sessrec.baselines import bprmf_train, itemknn_train
 from sessrec.cli import _scorer_for
@@ -21,7 +23,7 @@ from sessrec.modelio import (
     save_model_file,
 )
 
-from conftest import store_from_lists
+from conftest import save_model_file_by_copy, store_from_lists
 
 
 def round_trip(mf: ModelFile) -> tuple[bytes, ModelFile]:
@@ -262,3 +264,110 @@ class TestValidation:
         # whatever loads gives a scorer with a score per vocabulary item
         if len(mf.vocab):
             assert _scorer_for(mf).step(0).shape == (len(mf.vocab),)
+
+
+class ShortReads(io.RawIOBase):
+    """A raw stream over ``data`` that returns at most ``most`` bytes a read
+    and cannot seek."""
+
+    def __init__(self, data: bytes, most: int):
+        self.data, self.at, self.most = data, 0, most
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        n = min(len(b), self.most, len(self.data) - self.at)
+        memoryview(b).cast("B")[:n] = self.data[self.at:self.at + n]
+        self.at += n
+        return n
+
+
+def assert_same_file(a: ModelFile, b: ModelFile):
+    assert a.kind == b.kind and a.hyper == b.hyper
+    assert a.vocab.items == b.vocab.items
+    assert a.vocab.popularity.tolist() == b.vocab.popularity.tolist()
+    assert sorted(a.matrices) == sorted(b.matrices)
+    for name, m in a.matrices.items():
+        assert m.shape == b.matrices[name].shape
+        assert m.tobytes() == b.matrices[name].tobytes()
+
+
+LAYOUTS = ["C", "F", "strided", "reversed", ">f8", "float32", "int64"]
+
+
+def laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """``values``, of the layout's dtype, in ``layout``."""
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        wide = np.zeros((2 * values.shape[0], 3 * values.shape[1]), values.dtype)
+        wide[::2, ::3] = values
+        return wide[::2, ::3]
+    if layout == "reversed":
+        return values[::-1].copy()[::-1]
+    if layout == ">f8":
+        return values.astype(">f8")
+    return values
+
+
+class TestCopyFreeIO:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_writer_bytes_equal_the_copying_writer(self, data):
+        """Matrices of every layout and dtype, zero-size ones among them, give
+        the bytes of the writer that converts and copies each matrix, and
+        load back as their float64 values."""
+        matrices = {}
+        for k in range(data.draw(st.integers(0, 4), label="n_matrices")):
+            layout = data.draw(st.sampled_from(LAYOUTS), label="layout")
+            shape = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 5)), label="shape")
+            dtype, elements = {"int64": (np.int64, st.integers(-2**62, 2**62)),
+                               "float32": (np.float32, st.floats(width=32))}.get(
+                                   layout, (np.float64, st.floats()))
+            values = data.draw(hnp.arrays(dtype, shape, elements=elements), label="values")
+            matrices[f"m{k}"] = laid_out(values, layout)
+        store, vocab = store_from_lists([[0, 1, 2]])
+        vocab.items = ["a", "πρ", "商品-3"]
+        vocab.index = {it: i for i, it in enumerate(vocab.items)}
+        mf = ModelFile("gru", vocab, {"k": "v"}, matrices)
+        want = io.BytesIO()
+        save_model_file_by_copy(mf, want)
+        assert to_bytes(mf) == want.getvalue()
+        loaded = load_model_file(io.BytesIO(want.getvalue()))
+        for name, m in matrices.items():
+            expect = np.atleast_2d(np.asarray(m, dtype=np.float64))
+            assert loaded.matrices[name].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(tiny_models()))
+    @pytest.mark.parametrize("most", [1, 3, 7, 64])
+    def test_short_reads_load_the_same_file(self, name, most):
+        raw = to_bytes(tiny_models()[name])
+        assert_same_file(load_model_file(ShortReads(raw, most)), load_model_file(io.BytesIO(raw)))
+
+    @pytest.mark.parametrize("name", sorted(tiny_models()))
+    def test_every_truncation_is_a_format_error(self, name):
+        """Cut at every byte, so at every field and matrix boundary, from a
+        stream that can seek and from one that cannot."""
+        raw = to_bytes(tiny_models()[name])
+        for cut in range(len(raw)):
+            for stream in (io.BytesIO(raw[:cut]), ShortReads(raw[:cut], 5)):
+                with pytest.raises(ModelFormatError, match="truncated"):
+                    load_model_file(stream)
+
+    def test_corrupt_shape_allocates_no_more_than_remains(self, tmp_path):
+        store, vocab = store_from_lists([[0, 1]])
+        raw = bytearray(to_bytes(ModelFile("gru", vocab, {}, {"m": np.ones((2, 3))})))
+        shape_at = raw.index(b"\x01\x00\x00\x00m") + 5  # after the name "m"
+        raw[shape_at:shape_at + 8] = np.array([20_000, 20_000], "<u4").tobytes()  # 3.2 GB
+        path = tmp_path / "m.bin"
+        path.write_bytes(bytes(raw))
+        for open_stream in (lambda: io.BytesIO(bytes(raw)), lambda: open(path, "rb")):
+            tracemalloc.start()
+            try:
+                with open_stream() as f, pytest.raises(ModelFormatError, match="truncated"):
+                    load_model_file(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
